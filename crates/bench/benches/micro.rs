@@ -109,8 +109,8 @@ fn bench_matmul(c: &mut Criterion) {
         bch.iter(|| black_box(&a).matmul_into(black_box(&b), &mut out).unwrap())
     });
 
-    // Tall-thin: few output columns (the Qᵀ·C projection shape of
-    // `PivotedQr::append_columns` appending a day's 8 columns).
+    // Tall-thin: few output columns (a 96-row block applied to a
+    // day's 8 new columns).
     let a = mat(96, 96, 0.6);
     let b = mat(96, 8, 1.6);
     let mut out = Matrix::zeros(96, 8);
@@ -513,54 +513,6 @@ fn bench_warm_start(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_incremental_qr(c: &mut Criterion) {
-    let mut group = c.benchmark_group("incremental_qr");
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(3));
-    group.sample_size(10);
-
-    // Appending a day's worth of new survey locations (8 columns) to
-    // the 32x1536 scaled office: incremental extension vs refactoring
-    // the extended matrix from scratch.
-    let big_env = iupdater_eval::ext_scale::scaled_office(4);
-    let big = Testbed::new(big_env, 2).fingerprint_matrix(0.0, 1);
-    let base = big.pivoted_qr().unwrap();
-    // New columns correlated with the existing ones and weak enough to
-    // stay dominated at every pivot step — the shape the fast path
-    // certifies (asserted below).
-    let amplitude = 1e-6 / (big.cols() as f64).sqrt();
-    let mix = Matrix::from_fn(big.cols(), 8, |i, j| {
-        (((i + 7 * j) % 23) as f64 * 0.17).sin() * amplitude
-    });
-    let new_cols = big.matmul(&mix).unwrap();
-    {
-        let mut probe = base.clone();
-        assert!(
-            probe.append_columns(&new_cols).unwrap(),
-            "append bench scenario must take the fast path"
-        );
-    }
-    let extended = big.hcat(&new_cols).unwrap();
-    group.bench_function("append_8_cols_32x1536", |b| {
-        // The shim has no `iter_batched`, so each iteration pays a
-        // factor clone; `clone_factor_32x1536` below measures that
-        // overhead alone so the append cost can be read net of it.
-        b.iter(|| {
-            let mut f = base.clone();
-            assert!(f.append_columns(black_box(&new_cols)).unwrap());
-            f
-        })
-    });
-    group.bench_function("clone_factor_32x1536", |b| b.iter(|| base.clone()));
-    group.bench_function("fresh_pivoted_qr_32x1544", |b| {
-        b.iter(|| black_box(&extended).pivoted_qr().unwrap())
-    });
-    group.bench_function("pivoted_qr_32x1536", |b| {
-        b.iter(|| black_box(&big).pivoted_qr().unwrap())
-    });
-    group.finish();
-}
-
 fn bench_query(c: &mut Criterion) {
     // The read path (PR 9): single-query latency (with p99 from the
     // harness line), a 256-query serial loop through the unprepared
@@ -715,7 +667,6 @@ criterion_group!(
     bench_solver,
     bench_solver_scale,
     bench_warm_start,
-    bench_incremental_qr,
     bench_query,
     bench_gateway
 );

@@ -10,7 +10,7 @@
 //! goes stale. iUpdater re-surveys only a handful of *reference
 //! locations* (the maximum-independent-column locations, [`mic`]) and
 //! reconstructs the entire matrix by a *self-augmented regularized SVD*
-//! ([`self_augmented`]) that combines:
+//! ([`solver`]) that combines:
 //!
 //! 1. the basic RSVD data-fit on the no-decrease cells that can be
 //!    measured without a target ([`rsvd`], [`classify`]);
@@ -38,8 +38,7 @@
 //!    configurable [`config::SweepOrder`]: the default Gauss–Seidel
 //!    order keeps the original sequential walk, making parallel
 //!    solves bit-identical to the retired monolith
-//!    (`solver::reference`, kept as the golden-parity oracle;
-//!    [`self_augmented`] is the compatibility alias), while the
+//!    (`solver::reference`, kept as the golden-parity oracle), while the
 //!    opt-in red-black order parallelises phase 2 as checkerboard
 //!    half-sweeps at the cost of a different — not worse — iteration
 //!    trajectory (its own tier, `tests/exact_convergence.rs`, proves
@@ -48,15 +47,17 @@
 //!    pool and are deterministic at any worker count.
 //! 3. [`service`] batches many deployments behind one API:
 //!    [`service::UpdateService`] runs update cycles across its fleet
-//!    in parallel and owns each deployment's live database.
+//!    in parallel and owns each deployment's live database (the write
+//!    side; it serves no queries).
 //!
-//! Above the service sits the read/write-separated serving layer:
-//! [`gateway::FleetGateway`] moves the service onto a detached drive
-//! loop and publishes each deployment's committed database + prepared
-//! localizer in an epoch-swapped [`gateway::PublishedSnapshot`], so
-//! localization queries never contend with an in-flight update cycle
-//! (see the [`gateway`] module docs for the epoch-publication
-//! invariant and the ingest backpressure policy).
+//! Above the service sits the read/write-separated serving layer, the
+//! only read path: [`gateway::FleetGateway`] moves the service onto a
+//! detached drive loop and publishes each deployment's committed
+//! database + prepared localizer in an epoch-swapped
+//! [`gateway::PublishedSnapshot`], so localization queries never
+//! contend with an in-flight update cycle (see the [`gateway`] module
+//! docs for the epoch-publication invariant and the ingest
+//! backpressure policy).
 //!
 //! # Architecture: incremental updater construction
 //!
@@ -68,12 +69,10 @@
 //! path *numerically identical* to the from-scratch one (pinned to
 //! `<= 1e-9` by `tests/warm_start_parity.rs`):
 //!
-//! 1. **Updatable RRQR** (`iupdater_linalg::qr`):
-//!    `PivotedQr::{append_columns, remove_columns,
-//!    refactor_if_drifted}` extend/shrink a pivoted factorisation in
-//!    place, and `Matrix::certify_pivot_seed` proves that greedy
-//!    pivoting on a new matrix would re-select a previous pivot set.
-//!    *Drift-tolerance fallback rule:* every pivot decision must hold
+//! 1. **Pivot-set certificate** (`iupdater_linalg::qr`):
+//!    `Matrix::certify_pivot_seed` proves that greedy pivoting on a
+//!    new matrix would re-select a previous pivot set (up to tie-set
+//!    equivalence). *Drift-tolerance fallback rule:* every pivot decision must hold
 //!    with a relative dominance margin of at least
 //!    `iupdater_linalg::qr::PIVOT_DRIFT_TOL` (`1e-8`); a decision
 //!    inside the margin — or a genuinely changed selection — falls
@@ -150,7 +149,6 @@ pub mod persist;
 pub mod query;
 pub mod reconstruct;
 pub mod rsvd;
-pub mod self_augmented;
 pub mod service;
 pub mod similarity;
 pub mod solver;

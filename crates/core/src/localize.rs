@@ -69,8 +69,8 @@ impl Localizer {
     ///
     /// - [`CoreError::DimensionMismatch`] if `y.len()` differs from the
     ///   link count.
-    /// - [`CoreError::InvalidArgument`] if OMP selects no atom (zero
-    ///   dictionary).
+    /// - [`CoreError::InvalidArgument`] if `y` contains a NaN or
+    ///   infinite entry, or if OMP selects no atom (zero dictionary).
     pub fn localize(&self, y: &[f64]) -> Result<LocationEstimate> {
         let mut scratch = QueryScratch::new();
         self.localize_with_scratch(y, &mut scratch)
@@ -89,13 +89,7 @@ impl Localizer {
         y: &[f64],
         scratch: &mut QueryScratch,
     ) -> Result<LocationEstimate> {
-        if y.len() != self.fingerprint.num_links() {
-            return Err(CoreError::DimensionMismatch {
-                context: "Localizer::localize",
-                expected: format!("{} link measurements", self.fingerprint.num_links()),
-                got: format!("{}", y.len()),
-            });
-        }
+        self.check_query(y)?;
         let sol = self.prepared.pursue(y, &self.config, scratch)?;
         self.estimate_from(sol)
     }
@@ -151,13 +145,7 @@ impl Localizer {
         let mut blocks = queries.chunks_exact(BINARY_LANES);
         for block in blocks.by_ref() {
             for y in block {
-                if y.len() != self.fingerprint.num_links() {
-                    return Err(CoreError::DimensionMismatch {
-                        context: "Localizer::localize",
-                        expected: format!("{} link measurements", self.fingerprint.num_links()),
-                        got: format!("{}", y.len()),
-                    });
-                }
+                self.check_query(y)?;
             }
             for sol in self
                 .prepared
@@ -183,13 +171,7 @@ impl Localizer {
     ///
     /// As for [`Self::localize`].
     pub fn localize_unprepared(&self, y: &[f64]) -> Result<LocationEstimate> {
-        if y.len() != self.fingerprint.num_links() {
-            return Err(CoreError::DimensionMismatch {
-                context: "Localizer::localize",
-                expected: format!("{} link measurements", self.fingerprint.num_links()),
-                got: format!("{}", y.len()),
-            });
-        }
+        self.check_query(y)?;
         let centered = self.prepared.center_query(y);
         let sol = match self.config.selection {
             AtomSelection::Correlation => orthogonal_matching_pursuit(
@@ -201,6 +183,26 @@ impl Localizer {
             AtomSelection::BinaryResidual => self.binary_pursuit(&centered),
         };
         self.estimate_from(sol)
+    }
+
+    /// The boundary check every read path runs before matching: one
+    /// value per link, all finite. A non-finite entry would otherwise
+    /// poison every distance and surface as a degenerate-selection
+    /// error that blames the database.
+    fn check_query(&self, y: &[f64]) -> Result<()> {
+        if y.len() != self.fingerprint.num_links() {
+            return Err(CoreError::DimensionMismatch {
+                context: "Localizer::localize",
+                expected: format!("{} link measurements", self.fingerprint.num_links()),
+                got: format!("{}", y.len()),
+            });
+        }
+        if y.iter().any(|v| !v.is_finite()) {
+            return Err(CoreError::InvalidArgument(
+                "query contains a non-finite value",
+            ));
+        }
+        Ok(())
     }
 
     /// The location estimate from a pursuit solution: the first atom
@@ -295,6 +297,39 @@ impl Localizer {
     pub fn prepared(&self) -> &PreparedDictionary {
         &self.prepared
     }
+}
+
+/// Cross-checks served estimates against the unprepared oracle: a
+/// fresh default-config [`Localizer`] built from `fingerprint` (the
+/// database the estimates were served from, never the prepared
+/// localizer under test) answers every query through
+/// [`Localizer::localize_unprepared`], and each served estimate must
+/// equal it exactly — grid, support, coefficients, and the residual
+/// bit pattern.
+///
+/// Returns `Ok(None)` when every estimate matches, or the index of the
+/// first query whose estimate deviates (or is missing), so each caller
+/// reports the violation in its own terms.
+///
+/// # Errors
+///
+/// Propagates the oracle's own matching errors.
+pub fn first_oracle_mismatch(
+    fingerprint: &FingerprintMatrix,
+    queries: &[Vec<f64>],
+    served: &[LocationEstimate],
+) -> Result<Option<usize>> {
+    let oracle = Localizer::new(fingerprint.clone(), LocalizerConfig::default());
+    for (q, y) in queries.iter().enumerate() {
+        let truth = oracle.localize_unprepared(y)?;
+        let exact = served.get(q).is_some_and(|est| {
+            *est == truth && est.residual_sq.to_bits() == truth.residual_sq.to_bits()
+        });
+        if !exact {
+            return Ok(Some(q));
+        }
+    }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -451,6 +486,27 @@ mod tests {
             assert_eq!(&oracle, &single);
             assert!(b.residual_sq.to_bits() == oracle.residual_sq.to_bits());
         }
+    }
+
+    #[test]
+    fn oracle_cross_check_reports_the_first_deviation() {
+        let (t, loc) = office_localizer(21);
+        let queries: Vec<Vec<f64>> = (0..12)
+            .map(|j| t.online_measurement(j, 0.0, 900 + j as u64))
+            .collect();
+        let served = loc.localize_batch(&queries).unwrap();
+        let db = loc.fingerprint();
+        assert_eq!(first_oracle_mismatch(db, &queries, &served), Ok(None));
+        // A residual that differs only in its last bit is a deviation.
+        let mut tampered = served.clone();
+        tampered[7].residual_sq = f64::from_bits(tampered[7].residual_sq.to_bits() ^ 1);
+        tampered[9].grid += 1;
+        assert_eq!(first_oracle_mismatch(db, &queries, &tampered), Ok(Some(7)));
+        // A missing estimate is a deviation too.
+        assert_eq!(
+            first_oracle_mismatch(db, &queries, &served[..10]),
+            Ok(Some(10))
+        );
     }
 
     #[test]

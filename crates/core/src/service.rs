@@ -37,12 +37,19 @@
 //! correlation matrix) — so post-restore cycles are bit-identical to
 //! an uninterrupted run. [`crate::persist::write_service`] /
 //! [`crate::persist::read_service`] serialise snapshots to the
-//! versioned v3 text format (legacy v2 files stay readable). [`UpdateService::drive_schedule`] runs a
-//! day-stepped campaign with a snapshot handed to a callback after
-//! every committed cycle (checkpoint-on-commit). Pending ingest queues
-//! are deliberately *not* part of a snapshot: batches are transient
-//! gateway input and are re-ingested from the upload spool after a
-//! restart.
+//! versioned v3 text format (legacy v2 files stay readable). A durable
+//! deployment checkpoints after every committed cycle through the
+//! gateway ([`crate::gateway::FleetGateway::snapshot`]). Pending ingest
+//! queues are deliberately *not* part of a snapshot: batches are
+//! transient gateway input and are re-ingested from the upload spool
+//! after a restart.
+//!
+//! # Reads
+//!
+//! The service owns the write side only. Online queries go through
+//! [`crate::gateway::FleetGateway`], which clones each deployment's
+//! commit-time [`UpdateService::localizer`] into an immutable published
+//! snapshot.
 //!
 //! ```
 //! use iupdater_core::service::UpdateService;
@@ -72,7 +79,7 @@ use iupdater_rfsim::{Environment, Testbed};
 
 use crate::config::{LocalizerConfig, UpdaterConfig};
 use crate::fingerprint::FingerprintMatrix;
-use crate::localize::{Localizer, LocationEstimate};
+use crate::localize::Localizer;
 use crate::reconstruct::Updater;
 use crate::solver::SolveReport;
 use crate::{CoreError, Result};
@@ -99,10 +106,11 @@ impl MeasurementBatch {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidArgument`] for a non-finite `day` or any
+    /// [`CoreError::InvalidArgument`] for a non-finite `day`, any
     /// non-finite matrix entry (a NaN reading would survive the solve
     /// and poison the committed database, which could then never be
-    /// checkpointed again); [`CoreError::DimensionMismatch`] when
+    /// checkpointed again), or a mask entry other than 0 or 1;
+    /// [`CoreError::DimensionMismatch`] when
     /// `x_b`, `b` and `x_r` disagree on the link count or `x_b` / `b`
     /// on shape.
     pub fn new(day: f64, x_r: Matrix, x_b: Matrix, b: Matrix) -> Result<Self> {
@@ -121,6 +129,11 @@ impl MeasurementBatch {
                     }
                 }
             }
+        }
+        if b.iter().any(|&v| v != 0.0 && v != 1.0) {
+            return Err(CoreError::InvalidArgument(
+                "measurement batch mask must be 0/1",
+            ));
         }
         if x_b.shape() != b.shape() {
             return Err(CoreError::DimensionMismatch {
@@ -209,12 +222,6 @@ impl IngestQueue {
 
     fn drain_all(&mut self) -> Vec<MeasurementBatch> {
         self.batches.drain(..).collect()
-    }
-
-    fn clear(&mut self) -> usize {
-        let n = self.batches.len();
-        self.batches.clear();
-        n
     }
 
     fn requeue(&mut self, batches: Vec<MeasurementBatch>) {
@@ -463,28 +470,16 @@ impl UpdateService {
         Ok(&self.get(id)?.queue)
     }
 
-    /// Discards every pending batch for the deployment, returning how
-    /// many were dropped. This is the operator's escape hatch for a
-    /// poison batch: [`UpdateService::run_cycle`] requeues drained
-    /// batches on failure (atomicity), so a batch whose solve fails
-    /// deterministically would otherwise wedge every subsequent cycle.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidArgument`] for an unknown id.
-    pub fn clear_ingest_queue(&mut self, id: DeploymentId) -> Result<usize> {
-        self.deployments
-            .get_mut(id.0)
-            .ok_or(CoreError::InvalidArgument("unknown deployment id"))
-            .map(|dep| dep.queue.clear())
-    }
-
     /// Removes and returns every pending batch for the deployment, in
-    /// queue (day) order. Unlike [`UpdateService::clear_ingest_queue`]
-    /// the batches are handed back, not discarded — this is what lets
-    /// a shutting-down gateway *drain* its accepted-but-uncommitted
-    /// ingest instead of silently dropping it (see
-    /// [`crate::gateway::FleetGateway::shutdown`]).
+    /// queue (day) order. The batches are handed back, not discarded:
+    /// this is what lets a shutting-down gateway *drain* its
+    /// accepted-but-uncommitted ingest instead of silently dropping it
+    /// (see [`crate::gateway::FleetGateway::shutdown`]). It is also the
+    /// operator's escape hatch for a poison batch:
+    /// [`UpdateService::run_cycle`] requeues drained batches on failure
+    /// (atomicity), so a batch whose solve fails deterministically
+    /// would otherwise wedge every subsequent cycle; drain the queue and
+    /// drop (or repair and re-ingest) what it returns.
     ///
     /// # Errors
     ///
@@ -666,81 +661,6 @@ impl UpdateService {
         }
     }
 
-    /// [`UpdateService::run_cycle`] for a single deployment: drains its
-    /// queued batches (one outcome each), or falls back to a testbed
-    /// pull at `day` when the queue is empty.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidArgument`] for an unknown id; otherwise the
-    /// same wrapped-and-atomic failure behaviour as
-    /// [`UpdateService::run_cycle`].
-    pub fn run_cycle_for(
-        &mut self,
-        id: DeploymentId,
-        day: f64,
-        samples: usize,
-    ) -> Result<Vec<UpdateOutcome>> {
-        if !day.is_finite() {
-            return Err(CoreError::InvalidArgument("update day must be finite"));
-        }
-        self.get(id)?;
-        let idx = id.0;
-        self.guard_day(idx, day)?;
-        let plan = self.deployments[idx].queue.drain_all();
-        let committed = match run_deployment_cycle(&self.deployments[idx], &plan, day, samples) {
-            Ok(v) => v,
-            Err(e) => {
-                self.deployments[idx].queue.requeue(plan);
-                return Err(self.dep_err(idx, e));
-            }
-        };
-        let mut outcomes = Vec::with_capacity(committed.len());
-        self.commit_deployment(idx, committed, &mut outcomes);
-        Ok(outcomes)
-    }
-
-    /// Runs `cycles` update cycles at days `start_day`, `start_day +
-    /// step_days`, … and hands a fresh [`ServiceSnapshot`] to
-    /// `on_commit` after each committed cycle — the checkpoint-on-commit
-    /// loop a durable gateway runs. Returns the outcomes of every
-    /// cycle, in order.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidArgument`] for a non-finite `start_day` or a
-    /// non-positive `step_days`; otherwise propagates cycle and
-    /// `on_commit` errors (the schedule stops at the first failure,
-    /// keeping all previously committed cycles).
-    pub fn drive_schedule<F>(
-        &mut self,
-        start_day: f64,
-        step_days: f64,
-        cycles: usize,
-        samples: usize,
-        mut on_commit: F,
-    ) -> Result<Vec<Vec<UpdateOutcome>>>
-    where
-        F: FnMut(usize, &ServiceSnapshot) -> Result<()>,
-    {
-        if !start_day.is_finite() {
-            return Err(CoreError::InvalidArgument("start_day must be finite"));
-        }
-        if !(step_days > 0.0 && step_days.is_finite()) {
-            return Err(CoreError::InvalidArgument(
-                "step_days must be positive and finite",
-            ));
-        }
-        let mut all = Vec::with_capacity(cycles);
-        for k in 0..cycles {
-            let day = start_day + step_days * k as f64;
-            let outcomes = self.run_cycle(day, samples)?;
-            on_commit(k, &self.snapshot())?;
-            all.push(outcomes);
-        }
-        Ok(all)
-    }
-
     /// Captures the whole fleet as a [`ServiceSnapshot`] (pending
     /// ingest queues are transient and not included — see module docs).
     ///
@@ -909,55 +829,6 @@ impl UpdateService {
         Ok(UpdateService { deployments })
     }
 
-    /// Localizes an online measurement against the deployment's current
-    /// database, using the default-config localizer whose prepared
-    /// query structures were built when the database was published
-    /// (register / commit / restore).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidArgument`] for an unknown id; otherwise
-    /// propagates matching errors.
-    pub fn localize(&self, id: DeploymentId, y: &[f64]) -> Result<LocationEstimate> {
-        self.get(id)?.localizer.localize(y)
-    }
-
-    /// Localizes a slab of online measurements against the
-    /// deployment's current database, fanning fixed-size chunks across
-    /// the persistent worker pool ([`Localizer::localize_batch`]).
-    /// Results are in slab order and identical to calling
-    /// [`UpdateService::localize`] per query, at any worker count.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidArgument`] for an unknown id; otherwise the
-    /// first per-query matching error in slab order.
-    pub fn localize_batch(
-        &self,
-        id: DeploymentId,
-        queries: &[Vec<f64>],
-    ) -> Result<Vec<LocationEstimate>> {
-        self.get(id)?.localizer.localize_batch(queries)
-    }
-
-    /// [`UpdateService::localize`] with an explicit localizer config
-    /// (built per call; use [`UpdateService::localize`] on the online
-    /// hot path).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidArgument`] for an unknown id; otherwise
-    /// propagates matching errors.
-    pub fn localize_with(
-        &self,
-        id: DeploymentId,
-        y: &[f64],
-        cfg: LocalizerConfig,
-    ) -> Result<LocationEstimate> {
-        let dep = self.get(id)?;
-        Localizer::new(dep.current.clone(), cfg).localize(y)
-    }
-
     /// Re-learns the deployment's correlation engine from its *current*
     /// database (periodic re-anchoring after many update cycles),
     /// warm-starting from the existing engine
@@ -975,8 +846,8 @@ impl UpdateService {
     /// reference columns are ordered by the engine's reference set, so
     /// a rebase that would *change* that set while batches are pending
     /// is rejected (it would silently misinterpret every queued `X_R`).
-    /// Drain the queue with a cycle — or discard it with
-    /// [`UpdateService::clear_ingest_queue`] — and rebase again.
+    /// Drain the queue with a cycle — or take it back with
+    /// [`UpdateService::drain_ingest_queue`] — and rebase again.
     /// Tie-keeping makes this refusal rarer: a selection that would
     /// previously have flickered among near-duplicate columns (and so
     /// blocked the rebase) now certifies with the set unchanged.
@@ -1021,7 +892,7 @@ impl UpdateService {
         let refuse = || {
             CoreError::InvalidArgument(
                 "rebase would change the reference set while measurement batches are \
-                 queued; run a cycle to drain them (or clear the queue) first",
+                 queued; run a cycle to commit them (or drain_ingest_queue) first",
             )
         };
         if !dep.queue.is_empty() && dep.current != *dep.updater.prior() {
@@ -1161,51 +1032,25 @@ mod tests {
         // The parallel fan-out must produce exactly what per-deployment
         // sequential updates produce.
         let mut batched = fleet();
-        let mut individual = fleet();
         let outcomes = batched.run_cycle(15.0, 5).unwrap();
         assert_eq!(outcomes.len(), 3);
-        for id in individual.ids() {
-            individual.run_cycle_for(id, 15.0, 5).unwrap();
-        }
-        for id in batched.ids() {
+        for (i, env) in Environment::all_presets().into_iter().enumerate() {
+            let mut individual = UpdateService::new();
+            let solo = individual
+                .register(
+                    "solo",
+                    Testbed::new(env, 11 + i as u64),
+                    UpdaterConfig::default(),
+                    10,
+                )
+                .unwrap();
+            individual.run_cycle(15.0, 5).unwrap();
             assert!(batched
-                .fingerprint(id)
+                .fingerprint(batched.ids()[i])
                 .unwrap()
                 .matrix()
-                .approx_eq(individual.fingerprint(id).unwrap().matrix(), 0.0));
+                .approx_eq(individual.fingerprint(solo).unwrap().matrix(), 0.0));
         }
-    }
-
-    #[test]
-    fn localize_against_live_database() {
-        let mut s = fleet();
-        s.run_cycle(30.0, 5).unwrap();
-        let id = s.ids()[0];
-        let n = s.testbed(id).unwrap().deployment().num_locations();
-        let y = s.testbed(id).unwrap().online_measurement(7, 30.0, 99);
-        let est = s.localize(id, &y).unwrap();
-        assert!(est.grid < n);
-    }
-
-    #[test]
-    fn localize_batch_matches_per_query_calls() {
-        let mut s = fleet();
-        s.run_cycle(30.0, 5).unwrap();
-        let id = s.ids()[0];
-        let n = s.testbed(id).unwrap().deployment().num_locations();
-        let queries: Vec<Vec<f64>> = (0..n)
-            .map(|j| {
-                s.testbed(id)
-                    .unwrap()
-                    .online_measurement(j, 30.0, 200 + j as u64)
-            })
-            .collect();
-        let batch = s.localize_batch(id, &queries).unwrap();
-        assert_eq!(batch.len(), queries.len());
-        for (y, b) in queries.iter().zip(&batch) {
-            assert_eq!(s.localize(id, y).unwrap(), *b);
-        }
-        assert!(s.localize_batch(DeploymentId(99), &queries).is_err());
     }
 
     #[test]
@@ -1317,7 +1162,6 @@ mod tests {
     fn single_cycle_failure_is_isolated() {
         let mut s = UpdateService::new();
         assert!(s.run_cycle(1.0, 1).unwrap().is_empty());
-        assert!(s.run_cycle_for(DeploymentId(0), 1.0, 1).is_err());
     }
 
     #[test]
@@ -1338,7 +1182,6 @@ mod tests {
             assert_eq!(s.last_update_day(id).unwrap(), 30.0);
         }
         assert!(s.run_cycle(f64::NAN, 2).is_err());
-        assert!(s.run_cycle_for(s.ids()[0], 10.0, 2).is_err());
         // Re-running at the same day is allowed (idempotent re-survey).
         s.run_cycle(30.0, 2).unwrap();
     }
@@ -1449,26 +1292,21 @@ mod tests {
             ),
             Err(CoreError::InvalidArgument(_))
         ));
-    }
-
-    #[test]
-    fn clear_ingest_queue_evicts_pending_batches() {
-        let mut s = fleet();
-        let id = s.ids()[0];
-        for day in [5.0, 10.0] {
-            let b = MeasurementBatch::collect(
-                s.testbed(id).unwrap(),
-                s.updater(id).unwrap().reference_locations(),
-                day,
-                2,
-            )
-            .unwrap();
-            s.ingest(id, b).unwrap();
+        // The mask selects known cells; anything but 0/1 would silently
+        // reweight the data-fit term.
+        for bad in [0.5, -1.0] {
+            let mut mask = good.mask().clone();
+            mask[(0, 0)] = bad;
+            assert!(matches!(
+                MeasurementBatch::new(
+                    10.0,
+                    good.reference_columns().clone(),
+                    good.no_decrease().clone(),
+                    mask
+                ),
+                Err(CoreError::InvalidArgument(_))
+            ));
         }
-        assert_eq!(s.clear_ingest_queue(id).unwrap(), 2);
-        assert!(s.ingest_queue(id).unwrap().is_empty());
-        assert_eq!(s.clear_ingest_queue(id).unwrap(), 0);
-        assert!(s.clear_ingest_queue(DeploymentId(99)).is_err());
     }
 
     #[test]
@@ -1602,37 +1440,5 @@ mod tests {
             .unwrap()
             .correlation()
             .approx_eq(s.updater(s.ids()[0]).unwrap().correlation(), 0.0));
-    }
-
-    #[test]
-    fn drive_schedule_checkpoints_every_cycle() {
-        let mut s = fleet();
-        let mut checkpoints: Vec<(usize, ServiceSnapshot)> = Vec::new();
-        let all = s
-            .drive_schedule(10.0, 10.0, 3, 2, |k, snap| {
-                checkpoints.push((k, snap.clone()));
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(all.len(), 3);
-        assert_eq!(checkpoints.len(), 3);
-        assert_eq!(checkpoints.last().unwrap().1, s.snapshot());
-        for (k, snap) in &checkpoints {
-            for d in &snap.deployments {
-                assert_eq!(d.cycles_run, k + 1);
-                assert_eq!(d.last_update_day, 10.0 + 10.0 * *k as f64);
-            }
-        }
-        assert!(s.drive_schedule(1.0, 0.0, 1, 1, |_, _| Ok(())).is_err());
-        assert!(s
-            .drive_schedule(f64::INFINITY, 1.0, 1, 1, |_, _| Ok(()))
-            .is_err());
-        // A failing on_commit stops the schedule but keeps the cycle.
-        let before = s.cycles_run(s.ids()[0]).unwrap();
-        let err = s.drive_schedule(40.0, 1.0, 2, 1, |_, _| {
-            Err(CoreError::InvalidArgument("checkpoint disk full"))
-        });
-        assert!(err.is_err());
-        assert_eq!(s.cycles_run(s.ids()[0]).unwrap(), before + 1);
     }
 }

@@ -335,7 +335,11 @@ fn service_batch_equals_unprepared_oracle_after_update() {
     let queries: Vec<Vec<f64>> = (0..96)
         .map(|j| t.online_measurement(j, 15.0, 500 + j as u64))
         .collect();
-    let batch = service.localize_batch(id, &queries).unwrap();
+    let batch = service
+        .localizer(id)
+        .unwrap()
+        .localize_batch(&queries)
+        .unwrap();
     for (q, b) in queries.iter().zip(&batch) {
         let o = oracle.localize_unprepared(q).unwrap();
         assert_eq!(*b, o);

@@ -1,58 +1,41 @@
-//! Householder QR and rank-revealing column-pivoted QR, plus an
-//! *updatable* pivoted factorisation.
+//! Householder QR and rank-revealing column-pivoted QR, plus the
+//! pivot-set certificate the core layer re-pivots against.
 //!
 //! Column-pivoted QR is the numerically robust way to find a maximal set
 //! of linearly independent columns — the paper's "maximum independent
 //! column (MIC) vectors" (Sec. IV-B) — on approximately-low-rank noisy
 //! matrices.
 //!
-//! # Incremental updates
+//! # Pivot-set certification
 //!
-//! [`PivotedQr`] retains the matrix it factored, which makes three
-//! incremental operations possible without refactoring from scratch:
-//!
-//! - [`PivotedQr::append_columns`] extends the factorisation to cover
-//!   new trailing columns by orthogonalising them against the existing
-//!   `Q` — valid only when the greedy pivot order provably survives;
-//! - [`PivotedQr::remove_columns`] drops columns; removing a non-pivot
-//!   column is *exactly* equivalent to a fresh factorisation (the
-//!   greedy never looked at it), so the factor is edited in place;
-//! - [`PivotedQr::refactor_if_drifted`] is the safety valve: it
-//!   measures the factor residual `‖A P − Q R‖_F / ‖A‖_F` and falls
-//!   back to a full refactorisation past a tolerance.
-//!
-//! Each incremental operation *certifies* that greedy column-pivoted
-//! MGS on the updated matrix would make the same selections up to
-//! *tie-set equivalence*: every pivot must either dominate every
+//! [`Matrix::certify_pivot_seed`] proves, without the full greedy
+//! sweep, that greedy column-pivoted MGS on a matrix would make the
+//! same selections as a caller-proposed pivot *set* (the core layer
+//! proposes the previous MIC locations of a fresh fingerprint matrix)
+//! up to *tie-set equivalence*: every pivot must either dominate every
 //! competitor with a relative margin of at least [`PIVOT_DRIFT_TOL`]
 //! (the drift-tolerance fallback rule), or the competitor must belong
 //! to the pivot's *tie-set* — greedy-competitive within
 //! [`PIVOT_TIE_TOL`] and contained in the certified subspace within
 //! [`PIVOT_TIE_SPAN_TOL`] — so that whichever member the fresh greedy
 //! picks, it selects the same rank and spans the same certified
-//! subspace. When neither holds — the decision has drifted into
-//! genuine ambiguity — the operation silently performs the full
-//! refactorisation instead and reports it in its return value, so the
-//! fast path can never produce a factor that disagrees with
-//! [`Matrix::pivoted_qr`] on rank or on the certified subspace.
-//!
-//! [`Matrix::certify_pivot_seed`] exposes the same certification for a
-//! caller-proposed pivot *set* (used by the core layer to re-pivot a
-//! fresh fingerprint matrix against the previous MIC locations); its
-//! rustdoc carries the written dominance argument for the tie-set
-//! generalisation.
+//! subspace. When neither holds, the certificate returns `None` and the
+//! caller falls back to a fresh factorisation, so the fast path can
+//! never disagree with [`Matrix::pivoted_qr`] on rank or on the
+//! certified subspace. Its rustdoc carries the written dominance
+//! argument for the tie-set generalisation.
 
 use crate::norms::{vec_norm, vec_norm_sq};
 use crate::{LinalgError, Matrix, Result};
 
-/// Relative dominance margin below which the incremental pivoted-QR
-/// paths refuse to certify a pivot decision as *unambiguous* and
-/// consult the tie-set rule (see the module docs) before falling back
-/// to a full refactorisation.
+/// Relative dominance margin below which pivot-set certification
+/// refuses to call a pivot decision *unambiguous* and consults the
+/// tie-set rule (see the module docs) before falling back to a full
+/// refactorisation.
 ///
 /// The greedy reference implementation tracks residual column norms by
-/// *downdating* while the certification paths recompute them from
-/// projection coefficients; the two agree to roughly
+/// *downdating* while the certificate recomputes them from projection
+/// coefficients; the two agree to roughly
 /// `machine epsilon x condition number`, so any comparison decided by
 /// less than this margin is treated as ambiguous.
 pub const PIVOT_DRIFT_TOL: f64 = 1e-8;
@@ -91,10 +74,6 @@ pub struct Qr {
 }
 
 /// Column-pivoted QR factorisation `A P = Q R`.
-///
-/// Retains the factored matrix so the incremental operations
-/// ([`PivotedQr::append_columns`], [`PivotedQr::remove_columns`],
-/// [`PivotedQr::refactor_if_drifted`]) are self-contained.
 #[derive(Debug, Clone)]
 pub struct PivotedQr {
     /// Orthonormal factor (`m x k`).
@@ -105,12 +84,6 @@ pub struct PivotedQr {
     /// permuted column `j`. The first `rank` entries name the
     /// most-independent columns, in decreasing pivot magnitude.
     pub perm: Vec<usize>,
-    /// The factored matrix, in original column order.
-    a: Matrix,
-    /// Number of pivot steps the greedy loop completed before running
-    /// out of residual mass (`<= min(m, n)`; rows of `r` beyond `chain`
-    /// are zero).
-    chain: usize,
 }
 
 impl Matrix {
@@ -175,31 +148,25 @@ impl Matrix {
     /// Column-pivoted (rank-revealing) QR via modified Gram-Schmidt with
     /// greedy pivoting on residual column norms.
     ///
-    /// The returned factorisation retains a copy of `self` so the
-    /// incremental operations ([`PivotedQr::append_columns`] and
-    /// friends) are self-contained — one-shot callers pay one `m x n`
-    /// copy. Rank queries that need no factor go through
-    /// [`Matrix::rank`], which skips the copy.
+    /// Rank queries that need no factor go through [`Matrix::rank`],
+    /// which skips the `Q` transposition.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::InvalidArgument`] for an empty matrix.
     pub fn pivoted_qr(&self) -> Result<PivotedQr> {
-        let (qt, r, perm, chain) = self.pivoted_qr_parts()?;
+        let (qt, r, perm) = self.pivoted_qr_parts()?;
         Ok(PivotedQr {
             q: qt.transpose(),
             r,
             perm,
-            a: self.clone(),
-            chain,
         })
     }
 
     /// The factorisation loop of [`Matrix::pivoted_qr`], returning the
-    /// raw `(Qᵀ, R, perm, chain)` parts without cloning `self` or
-    /// transposing `Qᵀ` — for internal callers that only need part of
-    /// the result.
-    fn pivoted_qr_parts(&self) -> Result<(Matrix, Matrix, Vec<usize>, usize)> {
+    /// raw `(Qᵀ, R, perm)` parts without transposing `Qᵀ` — for
+    /// internal callers that only need part of the result.
+    fn pivoted_qr_parts(&self) -> Result<(Matrix, Matrix, Vec<usize>)> {
         if self.is_empty() {
             return Err(LinalgError::InvalidArgument("pivoted_qr of empty matrix"));
         }
@@ -212,7 +179,6 @@ impl Matrix {
         let mut perm: Vec<usize> = (0..n).collect();
         let mut qt = Matrix::zeros(k, m); // row s = q_s
         let mut r = Matrix::zeros(k, n);
-        let mut chain = 0;
 
         // Residual squared norms of each (permuted) column.
         let mut res: Vec<f64> = (0..n).map(|j| vec_norm_sq(workt.row(j))).collect();
@@ -261,7 +227,6 @@ impl Matrix {
                 *qi = wi / norm;
             }
             r[(step, step)] = norm;
-            chain = step + 1;
             // Orthogonalise remaining columns against q_step.
             for j in (step + 1)..n {
                 let q_step = qt.row(step);
@@ -272,7 +237,7 @@ impl Matrix {
                 res[j] = (res[j] - dot * dot).max(0.0);
             }
         }
-        Ok((qt, r, perm, chain))
+        Ok((qt, r, perm))
     }
 
     /// The leading (most linearly independent) columns of `self` at
@@ -282,8 +247,8 @@ impl Matrix {
     /// empty list for a numerically zero matrix.
     ///
     /// Unlike `pivoted_qr().leading_columns(..)`, this one-shot query
-    /// materialises no factorisation and retains no matrix copy — it
-    /// is the cheap entry point for MIC-style selection.
+    /// materialises no `Q` factor — it is the cheap entry point for
+    /// MIC-style selection.
     ///
     /// # Errors
     ///
@@ -293,7 +258,7 @@ impl Matrix {
         if rank_tol.is_nan() || rank_tol <= 0.0 || rank_tol >= 1.0 {
             return Err(LinalgError::InvalidArgument("rank_tol must be in (0, 1)"));
         }
-        let (_, r, perm, _) = self.pivoted_qr_parts()?;
+        let (_, r, perm) = self.pivoted_qr_parts()?;
         let k = r.rows().min(r.cols());
         let r00 = r[(0, 0)].abs();
         if r00 == 0.0 {
@@ -555,9 +520,9 @@ impl Matrix {
         if tol <= 0.0 {
             return Err(LinalgError::InvalidArgument("rank tolerance must be > 0"));
         }
-        // Only the diagonal of R is needed: skip the matrix retention
-        // and Q transposition of the full `pivoted_qr`.
-        let (_, r, _, _) = self.pivoted_qr_parts()?;
+        // Only the diagonal of R is needed: skip the Q transposition
+        // of the full `pivoted_qr`.
+        let (_, r, _) = self.pivoted_qr_parts()?;
         let k = r.rows();
         let r00 = r[(0, 0)].abs();
         if r00 == 0.0 {
@@ -579,18 +544,6 @@ impl PivotedQr {
         self.perm[..count].to_vec()
     }
 
-    /// The matrix this factorisation covers, in original column order
-    /// (kept in sync by the incremental operations).
-    pub fn matrix(&self) -> &Matrix {
-        &self.a
-    }
-
-    /// Number of pivot steps the greedy loop completed (rows of `r`
-    /// beyond this are zero; the numerical rank is at most this).
-    pub fn chain_len(&self) -> usize {
-        self.chain
-    }
-
     /// Numerical rank at relative tolerance `tol`: the number of
     /// diagonal entries of `r` larger than `tol * |R[0,0]|`, exactly as
     /// [`Matrix::rank`] counts them.
@@ -603,269 +556,6 @@ impl PivotedQr {
         (0..k)
             .take_while(|&i| self.r[(i, i)].abs() > tol * r00)
             .count()
-    }
-
-    /// Replaces this factorisation with a fresh greedy one of `self.a`.
-    fn refactor(&mut self) -> Result<()> {
-        // Via the parts constructor: the retained matrix is already in
-        // `self.a`, so no clone is needed (unlike `a.pivoted_qr()`).
-        let (qt, r, perm, chain) = self.a.pivoted_qr_parts()?;
-        self.q = qt.transpose();
-        self.r = r;
-        self.perm = perm;
-        self.chain = chain;
-        Ok(())
-    }
-
-    /// Extends the factorisation to cover `[A | new_cols]`.
-    ///
-    /// Fast path: each new column is orthogonalised against the
-    /// existing `Q` (one blocked `Qᵀ C` projection) and appended as a
-    /// trailing non-pivot column — valid only when every existing pivot
-    /// still dominates every new column with the [`PIVOT_DRIFT_TOL`]
-    /// margin *and*, for a factorisation whose pivot chain ended early,
-    /// the new columns provably add no residual mass (so the greedy
-    /// would still stop where it stopped). Otherwise the whole extended
-    /// matrix is refactored from scratch.
-    ///
-    /// Returns `true` when the fast path applied, `false` when a full
-    /// refactorisation was needed. Either way the factor afterwards
-    /// agrees with `[A | new_cols].pivoted_qr()` on rank and leading
-    /// columns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidArgument`] for an empty `new_cols`
-    /// and [`LinalgError::ShapeMismatch`] for a row-count mismatch.
-    pub fn append_columns(&mut self, new_cols: &Matrix) -> Result<bool> {
-        if new_cols.is_empty() {
-            return Err(LinalgError::InvalidArgument(
-                "append_columns requires at least one column",
-            ));
-        }
-        let (m, n_old) = self.a.shape();
-        if new_cols.rows() != m {
-            return Err(LinalgError::ShapeMismatch {
-                op: "append_columns",
-                lhs: self.a.shape(),
-                rhs: new_cols.shape(),
-            });
-        }
-        let extra = new_cols.cols();
-        let a_new = self.a.hcat(new_cols)?;
-        let n_new = n_old + extra;
-        let k_new = m.min(n_new);
-
-        let certified = self.certify_append(new_cols, k_new);
-        match certified {
-            Some(coeff) => {
-                // Assemble: R gains `extra` trailing columns (and zero
-                // rows up to the new k), Q gains zero columns likewise,
-                // perm gains the new original indices at the tail.
-                let k_old = self.r.rows();
-                let mut r = Matrix::zeros(k_new, n_new);
-                for i in 0..k_old {
-                    r.row_mut(i)[..n_old].copy_from_slice(self.r.row(i));
-                }
-                for (s, row) in coeff.iter().enumerate().take(self.chain.min(k_new)) {
-                    r.row_mut(s)[n_old..].copy_from_slice(row);
-                }
-                let mut q = Matrix::zeros(m, k_new);
-                for i in 0..m {
-                    q.row_mut(i)[..k_old].copy_from_slice(self.q.row(i));
-                }
-                self.q = q;
-                self.r = r;
-                self.perm.extend(n_old..n_new);
-                self.a = a_new;
-                Ok(true)
-            }
-            None => {
-                self.a = a_new;
-                self.refactor()?;
-                Ok(false)
-            }
-        }
-    }
-
-    /// The certification half of [`PivotedQr::append_columns`]: returns
-    /// the per-chain-step projection coefficients of the new columns
-    /// (`chain` rows of `extra` entries) when the existing pivot chain
-    /// provably survives the append *up to tie-set equivalence*,
-    /// `None` otherwise.
-    ///
-    /// A new column that fails strict dominance at some chain step is
-    /// admitted when it satisfies the same tie-set conditions as
-    /// [`Matrix::certify_pivot_seed`]: at its first beat it is within
-    /// the [`PIVOT_TIE_TOL`] window of that step's diagonal, and after
-    /// the chain it lies in the chain's span within
-    /// [`PIVOT_TIE_SPAN_TOL`] of its own squared norm — so a fresh
-    /// greedy that picked it instead of the incumbent pivot would
-    /// select the same rank and span the same subspace.
-    fn certify_append(&self, new_cols: &Matrix, k_new: usize) -> Option<Vec<Vec<f64>>> {
-        if self.chain == 0 {
-            // Degenerate factor (zero matrix): anything could pivot.
-            return None;
-        }
-        let margin = PIVOT_DRIFT_TOL;
-        let extra = new_cols.cols();
-        // The greedy selects on downdated residuals; for the pivot
-        // itself that value is `R[s,s]^2` (its vector norm at pivot
-        // time), which is exact — later-step comparisons against other
-        // columns used values at least this large.
-        let coeff_mat = {
-            // Qᵀ C as one blocked matmul (classical Gram-Schmidt
-            // coefficients; the margin absorbs the CGS/MGS difference).
-            let qt = self.q.transpose();
-            // invariants: allow(panic-freedom) — `new_cols.rows() == m`
-            // was checked at the top of this method, and `qt` has m
-            // columns by construction.
-            qt.matmul(new_cols).expect("shapes checked by caller")
-        };
-        let col_sq = new_cols.col_norms_sq();
-        let mut coeff: Vec<Vec<f64>> = vec![vec![0.0; extra]; self.chain];
-        for j in 0..extra {
-            let mut r_j = col_sq[j];
-            let mut tied = false;
-            for s in 0..self.chain {
-                let d = self.r[(s, s)];
-                if !tied && d * d <= r_j * (1.0 + margin) {
-                    if r_j > d * d * (1.0 + PIVOT_TIE_TOL) {
-                        // This new column would have outclassed pivot
-                        // step s beyond the tie window: the existing
-                        // chain is not certified.
-                        return None;
-                    }
-                    tied = true;
-                }
-                let c = coeff_mat[(s, j)];
-                coeff[s][j] = c;
-                r_j = (r_j - c * c).max(0.0);
-            }
-            if tied && r_j > PIVOT_TIE_SPAN_TOL * col_sq[j] {
-                // Tied but not contained in the chain's span: a fresh
-                // greedy picking it would rotate the selected subspace.
-                return None;
-            }
-            if self.chain < k_new {
-                // The fresh greedy would run further steps: it stops at
-                // `chain` only if no column retains residual mass above
-                // the floor (existing columns already satisfy this —
-                // their residuals are untouched by an append). The
-                // floor is scale-relative to `R[0,0]`, matching the
-                // greedy's own relative rank decisions, so a uniformly
-                // tiny-scaled matrix is judged by its own magnitude
-                // rather than certified vacuously.
-                let eps_scaled = f64::EPSILON * self.r[(0, 0)].abs();
-                let floor = eps_scaled * eps_scaled;
-                if r_j * (1.0 + margin) >= floor {
-                    return None;
-                }
-            }
-        }
-        Some(coeff)
-    }
-
-    /// Shrinks the factorisation by removing the columns whose
-    /// *original* indices are listed in `removed` (remaining columns
-    /// keep their relative order; `perm` is remapped).
-    ///
-    /// Fast path: when no removed column is a chain pivot, the greedy
-    /// never selected any of them, so dropping them leaves every pivot
-    /// decision — and every numerical value of `Q` and `R` — exactly
-    /// as a fresh factorisation of the smaller matrix would compute
-    /// them; the factor is edited in place. Removing a pivot column
-    /// triggers a full refactorisation instead.
-    ///
-    /// Returns `true` when the fast path applied, `false` when a full
-    /// refactorisation was needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidArgument`] when `removed` is
-    /// empty, out of range, duplicated, or names every column.
-    pub fn remove_columns(&mut self, removed: &[usize]) -> Result<bool> {
-        let n_old = self.a.cols();
-        let mut sorted = removed.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != removed.len() || removed.is_empty() {
-            return Err(LinalgError::InvalidArgument(
-                "removed columns must be non-empty and unique",
-            ));
-        }
-        if sorted.last().is_some_and(|&c| c >= n_old) {
-            return Err(LinalgError::InvalidArgument("removed column out of range"));
-        }
-        if sorted.len() == n_old {
-            return Err(LinalgError::InvalidArgument("cannot remove every column"));
-        }
-        let mut is_removed = vec![false; n_old];
-        for &j in &sorted {
-            is_removed[j] = true;
-        }
-        let kept: Vec<usize> = (0..n_old).filter(|&j| !is_removed[j]).collect();
-        let touches_pivot = self.perm[..self.chain].iter().any(|&j| is_removed[j]);
-        self.a = self.a.select_cols(&kept);
-        if touches_pivot {
-            self.refactor()?;
-            return Ok(false);
-        }
-        // Original index -> new index after the removals.
-        let mut remap = vec![usize::MAX; n_old];
-        for (new_j, &old_j) in kept.iter().enumerate() {
-            remap[old_j] = new_j;
-        }
-        let kept_positions: Vec<usize> = (0..self.perm.len())
-            .filter(|&p| !is_removed[self.perm[p]])
-            .collect();
-        let n_new = kept.len();
-        let m = self.a.rows();
-        // The chain pivots are all kept, so `chain <= min(m, n_new)`
-        // and trimming to the fresh factor's row count is safe.
-        let k_new = m.min(n_new);
-        let mut r = Matrix::zeros(k_new, n_new);
-        for i in 0..k_new {
-            for (new_p, &old_p) in kept_positions.iter().enumerate() {
-                r[(i, new_p)] = self.r[(i, old_p)];
-            }
-        }
-        let mut q = Matrix::zeros(m, k_new);
-        for i in 0..m {
-            q.row_mut(i).copy_from_slice(&self.q.row(i)[..k_new]);
-        }
-        self.perm = kept_positions
-            .into_iter()
-            .map(|p| remap[self.perm[p]])
-            .collect();
-        self.q = q;
-        self.r = r;
-        Ok(true)
-    }
-
-    /// Measures the factor residual `‖A P − Q R‖_F / ‖A‖_F` and, when
-    /// it exceeds `tol`, refactors from scratch — the safety valve that
-    /// bounds error accumulation over long append/remove sequences.
-    ///
-    /// Returns `true` when a refactorisation happened.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidArgument`] for a non-positive
-    /// `tol`.
-    pub fn refactor_if_drifted(&mut self, tol: f64) -> Result<bool> {
-        if tol.is_nan() || tol <= 0.0 {
-            return Err(LinalgError::InvalidArgument("drift tolerance must be > 0"));
-        }
-        let permuted = self.a.select_cols(&self.perm);
-        let product = self.q.matmul(&self.r)?;
-        let denom = self.a.frobenius_norm().max(f64::MIN_POSITIVE);
-        let drift = (&product - &permuted).frobenius_norm() / denom;
-        if drift > tol {
-            self.refactor()?;
-            return Ok(true);
-        }
-        Ok(false)
     }
 }
 
@@ -986,29 +676,9 @@ mod tests {
         assert!(qr.q.matmul(&qr.r).unwrap().approx_eq(&a, 1e-10));
     }
 
-    /// `pqr` and a fresh factorisation of its matrix agree on rank and
-    /// leading columns, and `pqr` reconstructs its matrix.
-    fn assert_matches_fresh(pqr: &PivotedQr, tol: f64) {
-        let fresh = pqr.matrix().pivoted_qr().unwrap();
-        let rank = fresh.rank_at(tol);
-        assert_eq!(pqr.rank_at(tol), rank, "rank mismatch vs fresh");
-        assert_eq!(
-            pqr.leading_columns(rank),
-            fresh.leading_columns(rank),
-            "leading columns mismatch vs fresh"
-        );
-        let recon = pqr.q.matmul(&pqr.r).unwrap();
-        let permuted = pqr.matrix().select_cols(&pqr.perm);
-        let scale = pqr.matrix().frobenius_norm().max(1.0);
-        assert!(
-            (&recon - &permuted).frobenius_norm() <= 1e-9 * scale,
-            "factor residual too large"
-        );
-    }
-
     /// A wide matrix whose trailing columns are correlated mixes of the
-    /// leading ones plus a small perturbation — the shape where the
-    /// incremental paths certify.
+    /// leading ones plus a small perturbation — the shape where pivot
+    /// seeds certify.
     fn correlated_matrix(m: usize, n: usize, seed: u64) -> Matrix {
         let mut rng = StdRng::seed_from_u64(seed);
         let basis = Matrix::from_fn(m, m, |i, j| {
@@ -1026,93 +696,6 @@ mod tests {
             }
         }
         x
-    }
-
-    #[test]
-    fn append_dominated_columns_keeps_factor() {
-        let a = correlated_matrix(6, 18, 11);
-        let mut pqr = a.pivoted_qr().unwrap();
-        let chain_before = pqr.chain_len();
-        // New columns that are mixes of existing ones: dominated.
-        let mix = Matrix::from_fn(18, 3, |i, j| ((i + 2 * j) as f64 * 0.37).sin() * 0.05);
-        let new_cols = a.matmul(&mix).unwrap();
-        let fast = pqr.append_columns(&new_cols).unwrap();
-        assert!(fast, "dominated append should take the fast path");
-        assert_eq!(
-            pqr.chain_len(),
-            chain_before,
-            "append must not extend the chain"
-        );
-        assert_eq!(pqr.matrix().shape(), (6, 21));
-        assert_matches_fresh(&pqr, 1e-9);
-    }
-
-    #[test]
-    fn append_dominant_column_falls_back() {
-        let a = correlated_matrix(5, 12, 12);
-        let mut pqr = a.pivoted_qr().unwrap();
-        // A new column 100x stronger than anything present must become
-        // the first pivot: the fast path cannot certify that.
-        let strong = a.select_cols(&[0]).scale(100.0);
-        let fast = pqr.append_columns(&strong).unwrap();
-        assert!(!fast, "dominant append must refactor");
-        assert_eq!(pqr.leading_columns(1), vec![12]);
-        assert_matches_fresh(&pqr, 1e-9);
-    }
-
-    #[test]
-    fn remove_non_pivot_is_bit_identical_to_fresh() {
-        let a = correlated_matrix(5, 14, 13);
-        let mut pqr = a.pivoted_qr().unwrap();
-        let rank = pqr.rank_at(1e-9);
-        let lead = pqr.leading_columns(rank);
-        // Remove two columns that are not leading pivots.
-        let victims: Vec<usize> = (0..14).filter(|j| !lead.contains(j)).take(2).collect();
-        let fast = pqr.remove_columns(&victims).unwrap();
-        assert!(fast, "non-pivot removal should be in-place");
-        let fresh = pqr.matrix().pivoted_qr().unwrap();
-        // Exact parity, not approximate: the greedy never looked at the
-        // removed columns, so every surviving number is unchanged.
-        assert_eq!(pqr.perm, fresh.perm);
-        assert!(pqr.q.approx_eq(&fresh.q, 0.0));
-        assert!(pqr.r.approx_eq(&fresh.r, 0.0));
-    }
-
-    #[test]
-    fn remove_pivot_column_refactors() {
-        let a = correlated_matrix(5, 12, 14);
-        let mut pqr = a.pivoted_qr().unwrap();
-        let first_pivot = pqr.leading_columns(1)[0];
-        let fast = pqr.remove_columns(&[first_pivot]).unwrap();
-        assert!(!fast, "pivot removal must refactor");
-        assert_eq!(pqr.matrix().cols(), 11);
-        assert_matches_fresh(&pqr, 1e-9);
-    }
-
-    #[test]
-    fn incremental_ops_validate_arguments() {
-        let a = correlated_matrix(4, 8, 15);
-        let mut pqr = a.pivoted_qr().unwrap();
-        assert!(pqr.append_columns(&Matrix::zeros(3, 1)).is_err()); // row mismatch
-        assert!(pqr.remove_columns(&[]).is_err());
-        assert!(pqr.remove_columns(&[99]).is_err());
-        assert!(pqr.remove_columns(&[1, 1]).is_err());
-        assert!(pqr.remove_columns(&(0..8).collect::<Vec<_>>()).is_err());
-        assert!(pqr.refactor_if_drifted(0.0).is_err());
-    }
-
-    #[test]
-    fn refactor_if_drifted_repairs_a_tampered_factor() {
-        let a = correlated_matrix(4, 9, 16);
-        let mut pqr = a.pivoted_qr().unwrap();
-        assert!(
-            !pqr.refactor_if_drifted(1e-9).unwrap(),
-            "fresh factor is clean"
-        );
-        // Corrupt an R entry: the drift check must notice and repair.
-        pqr.r[(0, 3)] += 5.0;
-        assert!(pqr.refactor_if_drifted(1e-9).unwrap());
-        assert_matches_fresh(&pqr, 1e-9);
     }
 
     #[test]
@@ -1269,60 +852,6 @@ mod tests {
     }
 
     #[test]
-    fn append_tied_duplicate_column_keeps_factor() {
-        let a = correlated_matrix(6, 18, 23);
-        let mut pqr = a.pivoted_qr().unwrap();
-        let rank = pqr.rank_at(1e-6);
-        let first = pqr.leading_columns(1)[0];
-        // Appending an exact copy of the strongest pivot creates an
-        // exact tie at step 0: certifiable under the tie-set rule.
-        let dup = a.select_cols(&[first]);
-        let fast = pqr.append_columns(&dup).unwrap();
-        assert!(fast, "an exact-duplicate append is tie-certified");
-        assert_eq!(pqr.rank_at(1e-6), rank, "tie must not change the rank");
-        // The kept selection is tie-equivalent to a fresh greedy's:
-        // it certifies as a pivot seed on the extended matrix.
-        let mut kept = pqr.leading_columns(rank);
-        kept.sort_unstable();
-        assert!(
-            pqr.matrix()
-                .certify_pivot_seed(&kept, 1e-6, PIVOT_DRIFT_TOL)
-                .unwrap()
-                .is_some(),
-            "kept selection must stay certified on the extended matrix"
-        );
-    }
-
-    #[test]
-    fn append_floor_is_scale_relative() {
-        // A uniformly tiny-scaled matrix: two orthogonal directions at
-        // 1e-10 plus dead columns, so the pivot chain stops early.
-        let s = 1e-10;
-        let mut a = Matrix::zeros(4, 4);
-        a[(0, 0)] = s;
-        a[(1, 1)] = s;
-        let mut pqr = a.pivoted_qr().unwrap();
-        assert_eq!(pqr.chain_len(), 2);
-        // An appended column mixing the base with a genuinely new
-        // direction that is large relative to the matrix scale but far
-        // below the old absolute `EPSILON²` floor — the old check
-        // certified "no chain extension" here and silently dropped the
-        // new direction from the factor.
-        let mut c = Matrix::zeros(4, 1);
-        c[(0, 0)] = 0.5 * s;
-        c[(2, 0)] = 1e-18;
-        let fast = pqr.append_columns(&c).unwrap();
-        assert!(!fast, "tiny-scale independent column must force a refactor");
-        assert_eq!(
-            pqr.chain_len(),
-            3,
-            "the chain must extend to the new direction"
-        );
-        assert_eq!(pqr.rank_at(1e-9), 3);
-        assert_matches_fresh(&pqr, 1e-9);
-    }
-
-    #[test]
     fn pivoted_leading_columns_matches_full_factorisation() {
         let a = correlated_matrix(6, 20, 20);
         let pqr = a.pivoted_qr().unwrap();
@@ -1338,17 +867,5 @@ mod tests {
         assert!(a.pivoted_leading_columns(0.0).is_err());
         assert!(a.pivoted_leading_columns(1.0).is_err());
         assert!(Matrix::zeros(0, 0).pivoted_leading_columns(0.5).is_err());
-    }
-
-    #[test]
-    fn chain_len_reflects_rank_deficiency() {
-        let full = correlated_matrix(4, 10, 19);
-        assert_eq!(full.pivoted_qr().unwrap().chain_len(), 4);
-        let u = [1.0, 2.0, 3.0, 4.0];
-        let v = [1.0, 0.5, -1.0, 2.0, 0.25];
-        let rank1 = Matrix::outer(&u, &v);
-        let pqr = rank1.pivoted_qr().unwrap();
-        assert!(pqr.chain_len() >= 1);
-        assert_eq!(pqr.rank_at(1e-9), 1);
     }
 }

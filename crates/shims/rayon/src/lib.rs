@@ -152,6 +152,26 @@ impl TaskExecutor {
         })
     }
 
+    /// Runs `task` on a parked worker if one is idle, else on a fresh
+    /// worker thread.
+    fn spawn(&'static self, task: SpawnedTask) {
+        let recycled = self
+            .idle
+            .lock()
+            .expect("task executor mutex poisoned")
+            .pop();
+        match recycled {
+            // A parked worker can only disappear if its task panicked
+            // while unparked (send then fails); fall back to a new thread.
+            Some(tx) => {
+                if let Err(std::sync::mpsc::SendError(task)) = tx.send(task) {
+                    self.start_worker(task);
+                }
+            }
+            None => self.start_worker(task),
+        }
+    }
+
     /// Starts a fresh task-worker thread whose first job is `task`.
     /// After each job the worker re-registers itself as idle and parks
     /// on its channel; the thread is reused for later [`spawn`]s and
@@ -194,23 +214,7 @@ pub fn spawn<F>(f: F)
 where
     F: FnOnce() + Send + 'static,
 {
-    let exec = TaskExecutor::global();
-    let task: SpawnedTask = Box::new(f);
-    let recycled = exec
-        .idle
-        .lock()
-        .expect("task executor mutex poisoned")
-        .pop();
-    match recycled {
-        // A parked worker can only disappear if its task panicked
-        // while unparked (send then fails); fall back to a new thread.
-        Some(tx) => {
-            if let Err(std::sync::mpsc::SendError(task)) = tx.send(task) {
-                exec.start_worker(task);
-            }
-        }
-        None => exec.start_worker(task),
-    }
+    TaskExecutor::global().spawn(Box::new(f));
 }
 
 // ---------------------------------------------------------------------------
@@ -710,22 +714,32 @@ mod tests {
 
     #[test]
     fn spawn_reuses_parked_task_workers() {
-        use std::thread::ThreadId;
-        let run = |tag: &'static str| -> ThreadId {
+        // A test-local executor: no other test's spawn can claim its
+        // parked worker.
+        let exec: &'static super::TaskExecutor = Box::leak(Box::new(super::TaskExecutor {
+            idle: std::sync::Mutex::new(Vec::new()),
+        }));
+        let run = || {
             let (tx, rx) = std::sync::mpsc::channel();
-            super::spawn(move || {
+            exec.spawn(Box::new(move || {
                 tx.send(std::thread::current().id())
                     .expect("receiver alive");
-            });
-            rx.recv().unwrap_or_else(|_| panic!("{tag} task never ran"))
+            }));
+            let id = rx.recv().expect("task ran");
+            // The worker parks only after its task returns: wait until
+            // it is observably idle before the next spawn.
+            while exec.idle.lock().expect("idle list").is_empty() {
+                std::thread::yield_now();
+            }
+            id
         };
-        // The first task parks its worker on completion; sequential
-        // spawns must then land on a recycled thread at least once
-        // (several attempts, since another test's spawn may race for
-        // the parked worker).
-        let first = run("first");
-        let reused = (0..16).any(|_| run("retry") == first);
-        assert!(reused, "no spawn ever reused a parked task worker");
+        let first = run();
+        assert_eq!(
+            run(),
+            first,
+            "the second spawn must reuse the parked worker"
+        );
+        assert_eq!(exec.idle.lock().expect("idle list").len(), 1);
     }
 
     #[test]

@@ -3,17 +3,18 @@
 //! A production gateway runs update cycles on a timer, takes field
 //! measurements whenever surveyors upload them, and must survive a
 //! process restart without losing a single reconstructed database.
-//! This example walks that lifecycle end to end:
+//! This example walks that lifecycle end to end through the
+//! [`FleetGateway`]:
 //!
-//! 1. register three deployments and drive a checkpoint-on-commit
-//!    schedule, writing a v2 snapshot to disk after every cycle;
-//! 2. "crash" (drop the service) and restore the fleet from the last
-//!    checkpoint on disk;
-//! 3. feed the restored fleet *asynchronously*: queue measurement
-//!    batches through the ingest API, then run a timer cycle that
-//!    drains them;
-//! 4. verify the resumed fleet is bit-identical to a control fleet
-//!    that never crashed.
+//! 1. launch a gateway over three deployments and run two cycles,
+//!    writing a v3 checkpoint to disk after every commit;
+//! 2. "crash" (drop the gateway without a shutdown) and restore the
+//!    fleet from the last checkpoint on disk;
+//! 3. feed the restored gateway *asynchronously*: send measurement
+//!    batches from twin testbeds over the ingest channel, then run a
+//!    timer cycle that drains them;
+//! 4. read through the published snapshots and verify the resumed
+//!    fleet is bit-identical to a control fleet that never crashed.
 //!
 //! ```text
 //! cargo run --release --example durable_fleet
@@ -21,7 +22,6 @@
 
 use iupdater::core::persist;
 use iupdater::core::prelude::*;
-use iupdater::core::service::MeasurementBatch;
 use iupdater::rfsim::{Environment, Testbed};
 
 const SEED: u64 = 2017;
@@ -45,53 +45,56 @@ fn build_fleet() -> Result<UpdateService, CoreError> {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let checkpoint =
         std::env::temp_dir().join(format!("durable-fleet-{}.snap", std::process::id()));
+    // Twin testbeds stand in for the surveyors in the field; the
+    // gateway owns the real simulators on its drive loop.
+    let twins: Vec<Testbed> = Environment::all_presets()
+        .into_iter()
+        .enumerate()
+        .map(|(i, env)| Testbed::new(env, SEED.wrapping_add(i as u64)))
+        .collect();
 
     // --- Phase 1: a scheduled campaign with checkpoint-on-commit. ---
-    let mut service = build_fleet()?;
-    println!("fleet up: {} deployments", service.len());
-    let path = checkpoint.clone();
-    service.drive_schedule(5.0, 10.0, 2, UPDATE_SAMPLES, |k, snapshot| {
+    let gw = FleetGateway::launch(build_fleet()?)?;
+    println!("fleet up: {} deployments", gw.len());
+    for (k, day) in [5.0, 15.0].into_iter().enumerate() {
+        gw.run_cycle(day, UPDATE_SAMPLES)?;
         // Atomic replace: the previous checkpoint stays intact if the
         // gateway dies mid-write.
-        persist::write_service_to_path(snapshot, &path)?;
-        println!("cycle {k} committed, checkpoint at {}", path.display());
-        Ok(())
-    })?;
+        persist::write_service_to_path(&gw.snapshot()?, &checkpoint)?;
+        println!(
+            "cycle {k} committed, checkpoint at {}",
+            checkpoint.display()
+        );
+    }
 
     // --- Phase 2: crash, then restore from the last checkpoint. ---
-    drop(service);
+    drop(gw);
     println!("gateway 'crashed'; restoring from {}", checkpoint.display());
     let text = std::fs::read(&checkpoint)?;
     let snapshot = persist::read_service(text.as_slice())?;
-    let mut service = UpdateService::restore(&snapshot)?;
-    for id in service.ids() {
+    let gw = FleetGateway::restore(&snapshot)?;
+    let ids = gw.ids();
+    for &id in &ids {
+        let snap = gw.published(id)?;
         println!(
             "  restored {:<8} cycles={} last_update_day={}",
-            service.name(id)?,
-            service.cycles_run(id)?,
-            service.last_update_day(id)?,
+            snap.name(),
+            snap.cycles_run(),
+            snap.last_update_day(),
         );
     }
 
     // --- Phase 3: asynchronous ingest. Surveyors upload day-45 walks
     // whenever they finish; the solve happens later, on the timer. ---
-    for id in service.ids() {
-        let batch = MeasurementBatch::collect(
-            service.testbed(id)?,
-            service.updater(id)?.reference_locations(),
-            45.0,
-            UPDATE_SAMPLES,
-        )?;
-        service.ingest(id, batch)?;
-        println!(
-            "  queued day-45 batch for {} (queue depth {})",
-            service.name(id)?,
-            service.ingest_queue(id)?.len()
-        );
+    for ((&id, twin), dep) in ids.iter().zip(&twins).zip(&snapshot.deployments) {
+        let batch =
+            MeasurementBatch::collect(twin, &dep.reference_locations, 45.0, UPDATE_SAMPLES)?;
+        gw.ingest(id, batch)?;
+        println!("  queued day-45 batch for {}", dep.name);
     }
     // The timer fires: every deployment drains its queue (none needs
     // the synchronous testbed fallback).
-    let outcomes = service.run_cycle(45.0, UPDATE_SAMPLES)?;
+    let outcomes = gw.run_cycle(45.0, UPDATE_SAMPLES)?;
     for o in &outcomes {
         println!(
             "  day {:>4.1}  {:<8} iters={:<3} objective={:.3e}",
@@ -99,32 +102,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    // A localization query against the freshly published database.
+    let y = twins[0].online_measurement(17, 45.0, 7);
+    let est = gw.localize(ids[0], &y)?;
+    println!(
+        "online query on {}: estimated grid cell {} (residual {:.2})",
+        gw.published(ids[0])?.name(),
+        est.grid,
+        est.residual_sq
+    );
+
     // --- Phase 4: the crash was invisible. ---
-    let mut control = build_fleet()?;
+    let control = FleetGateway::launch(build_fleet()?)?;
     for day in [5.0, 15.0, 45.0] {
         control.run_cycle(day, UPDATE_SAMPLES)?;
     }
-    for (a, b) in control.ids().into_iter().zip(service.ids()) {
+    let control = control.shutdown()?.service;
+    let resumed = gw.shutdown()?.service;
+    for (a, b) in control.ids().into_iter().zip(resumed.ids()) {
         assert!(
             control
                 .fingerprint(a)?
                 .matrix()
-                .approx_eq(service.fingerprint(b)?.matrix(), 0.0),
+                .approx_eq(resumed.fingerprint(b)?.matrix(), 0.0),
             "restored fleet diverged from the control"
         );
     }
     println!("restored fleet is bit-identical to the never-crashed control");
-
-    // A localization query against the freshly reconstructed database.
-    let id = service.ids()[0];
-    let y = service.testbed(id)?.online_measurement(17, 45.0, 7);
-    let est = service.localize(id, &y)?;
-    println!(
-        "online query on {}: estimated grid cell {} (residual {:.2})",
-        service.name(id)?,
-        est.grid,
-        est.residual_sq
-    );
 
     std::fs::remove_file(&checkpoint).ok();
     Ok(())

@@ -6,6 +6,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use crate::core::localize::first_oracle_mismatch;
 use crate::core::persist;
 use crate::core::prelude::*;
 use crate::rfsim::{Environment, Testbed};
@@ -175,23 +176,20 @@ pub fn cmd_replay(
         .map(|q| testbed.online_measurement(q % n, day, 0xbee + q as u64))
         .collect();
 
-    let localizer = Localizer::new(db, LocalizerConfig::default());
-    let estimates = localizer
+    let pipeline = |e: iupdater_core::CoreError| CliError::Pipeline(e.to_string());
+    let estimates = Localizer::new(db.clone(), LocalizerConfig::default())
         .localize_batch(&queries)
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
+        .map_err(pipeline)?;
+    if let Some(q) = first_oracle_mismatch(&db, &queries, &estimates).map_err(pipeline)? {
+        return Err(CliError::Pipeline(format!(
+            "batched estimate for query {q} (cell {}) deviates from the \
+             unprepared matcher — prepared read path parity violation",
+            q % n
+        )));
+    }
     let mut err_sum = 0.0;
     let mut hits = 0usize;
-    for (q, (y, est)) in queries.iter().zip(&estimates).enumerate() {
-        let oracle = localizer
-            .localize_unprepared(y)
-            .map_err(|e| CliError::Pipeline(e.to_string()))?;
-        if est != &oracle {
-            return Err(CliError::Pipeline(format!(
-                "batched estimate for query {q} (cell {}) deviates from the \
-                 unprepared matcher — prepared read path parity violation",
-                q % n
-            )));
-        }
+    for (q, est) in estimates.iter().enumerate() {
         let cell = q % n;
         err_sum += d.location(cell).distance(d.location(est.grid));
         hits += usize::from(est.grid == cell);
@@ -559,17 +557,17 @@ pub fn cmd_serve(
                 .map(|q| twin.online_measurement(q % n, day, 0x5e7e + q as u64))
                 .collect();
             let estimates = snap.localize_batch(&queries).map_err(pipeline)?;
-            let oracle = Localizer::new(snap.fingerprint().clone(), LocalizerConfig::default());
+            if let Some(q) =
+                first_oracle_mismatch(snap.fingerprint(), &queries, &estimates).map_err(pipeline)?
+            {
+                return Err(CliError::Pipeline(format!(
+                    "gateway estimate for query {q} ({name}, epoch {}) deviates \
+                     from the unprepared oracle — epoch-publication parity violation",
+                    snap.epoch()
+                )));
+            }
             let mut err_sum = 0.0;
-            for (q, (y, est)) in queries.iter().zip(&estimates).enumerate() {
-                let truth = oracle.localize_unprepared(y).map_err(pipeline)?;
-                if est != &truth {
-                    return Err(CliError::Pipeline(format!(
-                        "gateway estimate for query {q} ({name}, epoch {}) deviates \
-                         from the unprepared oracle — epoch-publication parity violation",
-                        snap.epoch()
-                    )));
-                }
+            for (q, est) in estimates.iter().enumerate() {
                 err_sum += d.location(q % n).distance(d.location(est.grid));
             }
             let _ = writeln!(

@@ -77,6 +77,32 @@ fn localizer_rejects_malformed_measurements() {
     assert!(localizer.localize(&[]).is_err());
     assert!(localizer.localize(&[0.0; 7]).is_err());
     assert!(localizer.localize(&[0.0; 9]).is_err());
+    // A NaN or infinite reading is a bad query, not a degenerate
+    // database: every read path, prepared or not, says so identically.
+    let mut scratch = QueryScratch::new();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut y = vec![-60.0; 8];
+        y[3] = bad;
+        let unprepared = localizer.localize_unprepared(&y).unwrap_err();
+        assert!(
+            matches!(
+                unprepared,
+                CoreError::InvalidArgument("query contains a non-finite value")
+            ),
+            "{unprepared:?}"
+        );
+        for err in [
+            localizer.localize(&y).unwrap_err(),
+            localizer
+                .localize_with_scratch(&y, &mut scratch)
+                .unwrap_err(),
+            localizer.localize_batch(&[y.clone()]).unwrap_err(),
+            // A full lane block, so the blocked binary sweep checks too.
+            localizer.localize_batch(&vec![y.clone(); 8]).unwrap_err(),
+        ] {
+            assert_eq!(err, unprepared);
+        }
+    }
 }
 
 #[test]
