@@ -2,7 +2,7 @@
 //! LRR/ALM, the self-augmented solver, OMP matching and RASS training,
 //! all at the paper's problem sizes (8 x 96 office matrix).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use iupdater_baselines::rass::{default_rass_params, Rass};
@@ -11,6 +11,7 @@ use iupdater_core::{correlation, mic};
 use iupdater_linalg::lrr::{solve_lrr, LrrOptions};
 use iupdater_linalg::Matrix;
 use iupdater_rfsim::{Environment, Testbed};
+use rayon::prelude::*;
 
 fn office_matrix() -> Matrix {
     let t = Testbed::new(Environment::office(), 1);
@@ -656,6 +657,32 @@ fn bench_gateway(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_pool(c: &mut Criterion) {
+    // Dispatch cost of the rayon shim's persistent pool: a job of four
+    // 25 µs chunks (ideal 50 µs at width 2), issued back to back and
+    // after the pool has idled long enough for its workers to park.
+    fn busy(us: u64) {
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_micros(us) {
+            std::hint::spin_loop();
+        }
+    }
+    let dispatch = || (0..4).into_par_iter().for_each(|_| busy(25));
+    let mut group = c.benchmark_group("pool");
+    // A long warm-up: after the serial set-ups of the groups above, the
+    // OS can take about a second to put the worker and the submitter
+    // on different CPUs, and until then every dispatch runs serially.
+    group.warm_up_time(Duration::from_secs(3));
+    group.sample_size(400);
+    group.bench_function("dispatch_4x25us_back_to_back", |b| b.iter(dispatch));
+    group.bench_function("dispatch_4x25us_after_idle", |b| {
+        // Untimed gap, far longer than the workers' spin window.
+        std::thread::sleep(Duration::from_millis(2));
+        b.iter(dispatch)
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_linalg,
@@ -668,6 +695,7 @@ criterion_group!(
     bench_solver_scale,
     bench_warm_start,
     bench_query,
-    bench_gateway
+    bench_gateway,
+    bench_pool
 );
 criterion_main!(benches);

@@ -109,7 +109,9 @@ impl MeasurementBatch {
     /// [`CoreError::InvalidArgument`] for a non-finite `day`, any
     /// non-finite matrix entry (a NaN reading would survive the solve
     /// and poison the committed database, which could then never be
-    /// checkpointed again), or a mask entry other than 0 or 1;
+    /// checkpointed again), a squared magnitude of `x_r` or `x_b` that
+    /// overflows `f64` (finite readings the solve could not represent),
+    /// or a mask entry other than 0 or 1;
     /// [`CoreError::DimensionMismatch`] when
     /// `x_b`, `b` and `x_r` disagree on the link count or `x_b` / `b`
     /// on shape.
@@ -129,6 +131,14 @@ impl MeasurementBatch {
                     }
                 }
             }
+        }
+        // Finite entries can still overflow the solve (a ×1e160 batch
+        // would fail deep inside as a bare `Singular`): reject any batch
+        // whose squared magnitude is not representable.
+        if !(x_r.frobenius_norm_sq().is_finite() && x_b.frobenius_norm_sq().is_finite()) {
+            return Err(CoreError::InvalidArgument(
+                "measurement batch magnitude overflows",
+            ));
         }
         if b.iter().any(|&v| v != 0.0 && v != 1.0) {
             return Err(CoreError::InvalidArgument(
@@ -628,7 +638,9 @@ impl UpdateService {
 
     /// Applies one deployment's solved work list in batch order:
     /// replaces the live database, bumps the counters, and appends one
-    /// [`UpdateOutcome`] per batch.
+    /// [`UpdateOutcome`] per batch. The localizer is rebuilt once, for
+    /// the last database of the list (the work list is never empty):
+    /// only that one is ever served.
     fn commit_deployment(
         &mut self,
         idx: usize,
@@ -638,9 +650,6 @@ impl UpdateService {
         let dep = &mut self.deployments[idx];
         for (batch_day, db, report) in committed {
             dep.current = db;
-            // Publish-time rebuild: prepare the query structures at
-            // the commit point, not lazily on the first query.
-            dep.localizer = Localizer::new(dep.current.clone(), LocalizerConfig::default());
             dep.cycles_run += 1;
             dep.last_update_day = batch_day;
             outcomes.push(UpdateOutcome {
@@ -659,6 +668,9 @@ impl UpdateService {
                 reference_count: dep.updater.reference_locations().len(),
             });
         }
+        // Publish-time rebuild: prepare the query structures at the
+        // commit point, not lazily on the first query.
+        dep.localizer = Localizer::new(dep.current.clone(), LocalizerConfig::default());
     }
 
     /// Captures the whole fleet as a [`ServiceSnapshot`] (pending

@@ -17,10 +17,19 @@
 //! Parallel calls execute on a **persistent worker pool** (like the
 //! real rayon's global pool): `current_num_threads() - 1` long-lived
 //! worker threads are spawned lazily on the first parallel call and
-//! then reused, so a parallel call costs a mutex/condvar wake instead
-//! of an OS thread spawn. That removes the per-call overhead that
-//! previously forced callers (the solver engine's `MIN_PARALLEL_WORK`
-//! threshold) to keep moderate sweeps serial.
+//! then reused, so a parallel call costs a job publish instead of an
+//! OS thread spawn. That removes the per-call overhead that previously
+//! forced callers (the solver engine's `MIN_PARALLEL_WORK` threshold)
+//! to keep moderate sweeps serial.
+//!
+//! Idle workers **spin, then park**: after a job (or on finding none) a
+//! worker busy-polls the published-job generation for a short window
+//! (yielding every few dozen polls) before it blocks on a condvar, and
+//! a submitter likewise polls its job's drain before blocking. Back-to-
+//! back parallel calls — solver column sweeps, a reader's slab stream —
+//! therefore find their second thread already awake instead of paying
+//! a futex wake-up (up to a scheduler slice under load). A job publish
+//! notifies the condvar only when some worker is actually parked.
 //!
 //! Work is split into **chunks finer than one block per worker**
 //! (see [`scheduling`]); idle workers claim the next unclaimed chunk
@@ -58,7 +67,7 @@
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Test-only pool-width override; 0 means "not overridden".
@@ -243,6 +252,40 @@ unsafe impl Send for TaskPtr {}
 // close-then-drain protocol as for `Send` above.
 unsafe impl Sync for TaskPtr {}
 
+/// How long an idle pool thread busy-polls for new work before it
+/// blocks: a worker after its job (or on finding none) before parking
+/// on the `work` condvar, and a submitter before blocking on its job's
+/// drain. Long enough to cover the gap between the back-to-back
+/// parallel calls of a solver sweep or a reader's slab stream, so the
+/// second thread joins without a futex wake-up; short enough that an
+/// idle pool costs nothing measurable.
+const SPIN_BEFORE_PARK_US: u64 = 100;
+
+/// Polls between `yield_now` calls (and clock reads) while spinning, so
+/// a host with more runnable threads than CPUs still schedules them.
+const SPIN_POLLS_PER_YIELD: u32 = 32;
+
+/// Busy-polls `ready` for up to [`SPIN_BEFORE_PARK_US`]; returns
+/// whether it became true.
+fn spin_until(mut ready: impl FnMut() -> bool) -> bool {
+    let start = std::time::Instant::now();
+    let window = std::time::Duration::from_micros(SPIN_BEFORE_PARK_US);
+    let mut polls = 0u32;
+    loop {
+        if ready() {
+            return true;
+        }
+        std::hint::spin_loop();
+        polls += 1;
+        if polls.is_multiple_of(SPIN_POLLS_PER_YIELD) {
+            std::thread::yield_now();
+            if start.elapsed() >= window {
+                return false;
+            }
+        }
+    }
+}
+
 /// Per-job bookkeeping: how many workers entered / left the job.
 struct JobTracker {
     task: TaskPtr,
@@ -254,15 +297,22 @@ struct JobTracker {
 }
 
 /// Pool state behind the mutex: the published job (if any) with its
-/// generation, and how many workers were spawned so far.
+/// generation, how many workers were spawned so far, and how many of
+/// them are parked on the `work` condvar.
 struct PoolState {
-    generation: u64,
     job: Option<(u64, Arc<JobTracker>)>,
     spawned: usize,
+    sleeping: usize,
 }
 
 struct PoolShared {
     state: Mutex<PoolState>,
+    /// Generation of the most recently published job. Written only
+    /// with the state mutex held; spinning workers poll it without the
+    /// lock to notice a new job. The `Release` store pairs with the
+    /// spinners' `Acquire` load, though a worker reads the job itself
+    /// only under the mutex, so the atomic carries just the signal.
+    published: AtomicU64,
     /// Wakes parked workers when a job is published.
     work: Condvar,
 }
@@ -279,10 +329,11 @@ impl Pool {
         POOL.get_or_init(|| Pool {
             shared: Arc::new(PoolShared {
                 state: Mutex::new(PoolState {
-                    generation: 0,
                     job: None,
                     spawned: 0,
+                    sleeping: 0,
                 }),
+                published: AtomicU64::new(0),
                 work: Condvar::new(),
             }),
         })
@@ -324,11 +375,21 @@ impl Pool {
         });
         {
             let mut st = self.shared.state.lock().expect("pool mutex poisoned");
-            st.generation += 1;
-            st.job = Some((st.generation, Arc::clone(&tracker)));
+            let generation = self.shared.published.load(Ordering::Relaxed) + 1;
+            st.job = Some((generation, Arc::clone(&tracker)));
             self.ensure_workers(&mut st);
+            self.shared.published.store(generation, Ordering::Release);
+            // No wake-up can be lost: a worker checks the job slot and
+            // counts itself in `sleeping` within one hold of this mutex,
+            // which `Condvar::wait` releases only once the worker is
+            // queued on `work`. So either that check ran after the job
+            // above was published (the worker enters it), or the
+            // worker is already queued and counted here. Spinning
+            // workers are not counted; they see `published` move.
+            if st.sleeping > 0 {
+                self.shared.work.notify_all();
+            }
         }
-        self.shared.work.notify_all();
 
         // Participate. `task` is expected to be panic-safe (the chunk
         // schedulers below catch per chunk), but stay robust anyway.
@@ -344,16 +405,59 @@ impl Pool {
                 }
             }
         }
-        // …then drain the workers that did enter. After this loop no
-        // thread holds the task pointer, so the borrow may end.
-        let mut counts = tracker.counts.lock().expect("job mutex poisoned");
-        while counts.1 < counts.0 {
-            counts = tracker.done.wait(counts).expect("job mutex poisoned");
+        // …then drain the workers that did enter, spinning first: they
+        // are usually finishing their last chunk. After this no thread
+        // holds the task pointer, so the borrow may end.
+        let drained = || {
+            let counts = tracker.counts.lock().expect("job mutex poisoned");
+            counts.1 >= counts.0
+        };
+        if !spin_until(drained) {
+            let mut counts = tracker.counts.lock().expect("job mutex poisoned");
+            while counts.1 < counts.0 {
+                counts = tracker.done.wait(counts).expect("job mutex poisoned");
+            }
         }
-        drop(counts);
         if let Err(p) = participation {
             resume_unwind(p);
         }
+    }
+}
+
+/// Enters the published job if this worker has not entered it yet
+/// (`last_seen` is the generation it entered last). Must be called
+/// with the state mutex held, which keeps `entered` race-free against
+/// the close-then-drain in [`Pool::run`].
+fn try_enter(st: &PoolState, last_seen: &mut u64) -> Option<Arc<JobTracker>> {
+    match &st.job {
+        Some((generation, tracker)) if *generation != *last_seen => {
+            *last_seen = *generation;
+            tracker.counts.lock().expect("job mutex poisoned").0 += 1;
+            Some(Arc::clone(tracker))
+        }
+        _ => None,
+    }
+}
+
+/// Waits for a job this worker has not entered yet and enters it:
+/// first by spinning on the published generation for up to
+/// [`SPIN_BEFORE_PARK_US`], then by parking on the `work` condvar.
+fn next_job(shared: &PoolShared, last_seen: &mut u64) -> Arc<JobTracker> {
+    let st = shared.state.lock().expect("pool mutex poisoned");
+    if let Some(tracker) = try_enter(&st, last_seen) {
+        return tracker;
+    }
+    let observed = shared.published.load(Ordering::Relaxed);
+    drop(st);
+    spin_until(|| shared.published.load(Ordering::Acquire) != observed);
+    let mut st = shared.state.lock().expect("pool mutex poisoned");
+    loop {
+        if let Some(tracker) = try_enter(&st, last_seen) {
+            return tracker;
+        }
+        st.sleeping += 1;
+        st = shared.work.wait(st).expect("pool mutex poisoned");
+        st.sleeping -= 1;
     }
 }
 
@@ -361,37 +465,18 @@ impl Pool {
 /// it, execute its chunk loop, mark it left, repeat.
 fn worker_loop(shared: &PoolShared) {
     let mut last_seen = 0u64;
-    let mut st = shared.state.lock().expect("pool mutex poisoned");
     loop {
-        let entered = match &st.job {
-            Some((generation, tracker)) if *generation != last_seen => {
-                last_seen = *generation;
-                let tracker = Arc::clone(tracker);
-                tracker.counts.lock().expect("job mutex poisoned").0 += 1;
-                Some(tracker)
-            }
-            _ => None,
-        };
-        match entered {
-            Some(tracker) => {
-                drop(st);
-                // SAFETY: entering happened under the pool mutex while
-                // the job was still published, so `Pool::run` is
-                // drain-waiting on us and the pointee is alive.
-                let task = unsafe { &*tracker.task.0 };
-                // Panics are already caught per chunk; a panic that
-                // still reaches here must not take down the worker.
-                let _ = catch_unwind(AssertUnwindSafe(task));
-                let mut counts = tracker.counts.lock().expect("job mutex poisoned");
-                counts.1 += 1;
-                tracker.done.notify_all();
-                drop(counts);
-                st = shared.state.lock().expect("pool mutex poisoned");
-            }
-            None => {
-                st = shared.work.wait(st).expect("pool mutex poisoned");
-            }
-        }
+        let tracker = next_job(shared, &mut last_seen);
+        // SAFETY: entering happened under the pool mutex while the job
+        // was still published, so `Pool::run` is drain-waiting on us
+        // and the pointee is alive.
+        let task = unsafe { &*tracker.task.0 };
+        // Panics are already caught per chunk; a panic that still
+        // reaches here must not take down the worker.
+        let _ = catch_unwind(AssertUnwindSafe(task));
+        let mut counts = tracker.counts.lock().expect("job mutex poisoned");
+        counts.1 += 1;
+        tracker.done.notify_all();
     }
 }
 
@@ -665,17 +750,35 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+    use std::time::{Duration, Instant};
+
+    /// Tests that use the pool share it; the park/wake test takes it
+    /// exclusively, so no other test's job can occupy the workers.
+    static POOL_USERS: RwLock<()> = RwLock::new(());
 
     /// Pins the pool width to 4 (once, same value from every test) so
-    /// the parallel paths are exercised even on single-CPU CI.
-    fn force_pool() {
+    /// the parallel paths are exercised even on single-CPU CI, and
+    /// holds the pool shared for the rest of the test.
+    fn force_pool() -> RwLockReadGuard<'static, ()> {
         static ONCE: std::sync::Once = std::sync::Once::new();
         ONCE.call_once(|| super::set_num_threads_for_tests(4));
+        POOL_USERS.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// [`force_pool`], but holding the pool exclusively.
+    fn force_pool_exclusive() -> RwLockWriteGuard<'static, ()> {
+        drop(force_pool());
+        POOL_USERS.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn spin_window() -> Duration {
+        Duration::from_micros(super::SPIN_BEFORE_PARK_US)
     }
 
     #[test]
     fn range_map_collect_preserves_order() {
-        force_pool();
+        let _pool = force_pool();
         let v: Vec<usize> = (0..1000).into_par_iter().map(|i| i * 2).collect();
         assert_eq!(v.len(), 1000);
         assert!(v.iter().enumerate().all(|(i, &x)| x == i * 2));
@@ -683,7 +786,7 @@ mod tests {
 
     #[test]
     fn slice_map_collect_preserves_order() {
-        force_pool();
+        let _pool = force_pool();
         let input: Vec<f64> = (0..257).map(|i| i as f64).collect();
         let out: Vec<f64> = input.par_iter().map(|&x| x + 0.5).collect();
         assert_eq!(out.len(), 257);
@@ -692,7 +795,7 @@ mod tests {
 
     #[test]
     fn for_each_visits_everything() {
-        force_pool();
+        let _pool = force_pool();
         let hits = AtomicUsize::new(0);
         (0..123).into_par_iter().for_each(|_| {
             hits.fetch_add(1, Ordering::Relaxed);
@@ -760,7 +863,7 @@ mod tests {
 
     #[test]
     fn join_returns_both() {
-        force_pool();
+        let _pool = force_pool();
         let (a, b) = super::join(|| 1 + 1, || "x".to_string() + "y");
         assert_eq!(a, 2);
         assert_eq!(b, "xy");
@@ -768,7 +871,7 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        force_pool();
+        let _pool = force_pool();
         let v: Vec<usize> = (5..5).into_par_iter().map(|i| i).collect();
         assert!(v.is_empty());
         let v: Vec<usize> = (7..8).into_par_iter().map(|i| i).collect();
@@ -777,7 +880,7 @@ mod tests {
 
     #[test]
     fn split_even_covers_exactly() {
-        force_pool();
+        let _pool = force_pool();
         for len in [0usize, 1, 2, 7, 16, 33] {
             for pieces in [1usize, 2, 3, 8] {
                 let b = super::scheduling::split_even(len, pieces);
@@ -794,7 +897,7 @@ mod tests {
 
     #[test]
     fn pool_is_reused_across_many_calls() {
-        force_pool();
+        let _pool = force_pool();
         // Thousands of parallel calls must not accumulate OS threads
         // (the pre-pool shim spawned per call; the pool reuses its
         // workers). Smoke-tested by wall-clock sanity: this loop used
@@ -807,7 +910,7 @@ mod tests {
 
     #[test]
     fn nested_parallel_calls_complete() {
-        force_pool();
+        let _pool = force_pool();
         // A parallel call inside a parallel call (the service runs
         // parallel solver sweeps inside its parallel deployment loop).
         let outer: Vec<usize> = (0..8)
@@ -824,7 +927,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_to_caller() {
-        force_pool();
+        let _pool = force_pool();
         let result = std::panic::catch_unwind(|| {
             let _: Vec<usize> = (0..100)
                 .into_par_iter()
@@ -840,5 +943,85 @@ mod tests {
         // …and the pool must still be usable afterwards.
         let v: Vec<usize> = (0..10).into_par_iter().map(|i| i).collect();
         assert_eq!(v.len(), 10);
+    }
+
+    #[test]
+    fn concurrent_submitters_collect_in_order_across_the_spin_window() {
+        let _pool = force_pool();
+        let window = spin_window();
+        // Gaps between jobs inside the window (workers still spinning)
+        // and past it (workers parked, so each job needs a wake-up).
+        let gaps = [Duration::ZERO, window / 4, window * 3, window * 20];
+        std::thread::scope(|s| {
+            for t in 0..2usize {
+                s.spawn(move || {
+                    for round in 0..300usize {
+                        let gap = gaps[(round + t) % gaps.len()];
+                        if gap < window {
+                            let start = Instant::now();
+                            while start.elapsed() < gap {
+                                std::hint::spin_loop();
+                            }
+                        } else {
+                            std::thread::sleep(gap);
+                        }
+                        let len = 2 + (round * 7 + t) % 61;
+                        let got: Vec<usize> = (0..len)
+                            .into_par_iter()
+                            .map(|i| i * 3 + round + t)
+                            .collect();
+                        let want: Vec<usize> = (0..len).map(|i| i * 3 + round + t).collect();
+                        assert_eq!(got, want, "submitter {t}, round {round}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn parked_workers_wake_for_a_rendezvous_job() {
+        let _pool = force_pool_exclusive();
+        let shared = &super::Pool::global().shared;
+        // Spawn the workers.
+        let _: Vec<usize> = (0..64).into_par_iter().map(|i| i).collect();
+        for round in 0..20 {
+            // Idle past the spin window until every worker is parked;
+            // this also proves the spin ends.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let st = shared.state.lock().expect("pool mutex poisoned");
+                if st.spawned > 0 && st.sleeping == st.spawned {
+                    break;
+                }
+                drop(st);
+                assert!(
+                    Instant::now() < deadline,
+                    "round {round}: workers never parked"
+                );
+                std::thread::sleep(spin_window());
+            }
+            // Two chunks that finish only together: the submitter runs
+            // one, so a parked worker must be woken for the other. The
+            // timed wait turns a lost wake-up into a failure, not a hang.
+            let arrived = (Mutex::new(0usize), Condvar::new());
+            let met: Vec<bool> = (0..2)
+                .into_par_iter()
+                .map(|_| {
+                    let (count, cv) = &arrived;
+                    let mut n = count.lock().expect("rendezvous mutex poisoned");
+                    *n += 1;
+                    cv.notify_all();
+                    let (_n, wait) = cv
+                        .wait_timeout_while(n, Duration::from_secs(10), |n| *n < 2)
+                        .expect("rendezvous mutex poisoned");
+                    !wait.timed_out()
+                })
+                .collect();
+            assert_eq!(
+                met,
+                [true, true],
+                "round {round}: a parked worker never woke"
+            );
+        }
     }
 }

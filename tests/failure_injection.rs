@@ -106,6 +106,33 @@ fn localizer_rejects_malformed_measurements() {
 }
 
 #[test]
+fn overflowing_batch_is_rejected_at_the_boundary() {
+    let (testbed, updater) = setup();
+    let good = MeasurementBatch::collect(&testbed, updater.reference_locations(), 45.0, 5).unwrap();
+    let (day, x_r, x_b, b) = (
+        good.day(),
+        good.reference_columns(),
+        good.no_decrease(),
+        good.mask(),
+    );
+    // The same readings re-wrapped still construct.
+    assert!(MeasurementBatch::new(day, x_r.clone(), x_b.clone(), b.clone()).is_ok());
+    // Every reading ×1e160 is finite, but its square is not: the batch
+    // must be refused here, not fail later inside the solve.
+    let huge = |m: &Matrix| m.map(|v| v * 1e160);
+    for (x_r, x_b) in [
+        (huge(x_r), x_b.clone()),
+        (x_r.clone(), huge(x_b)),
+        (huge(x_r), huge(x_b)),
+    ] {
+        assert_eq!(
+            MeasurementBatch::new(day, x_r, x_b, b.clone()).unwrap_err(),
+            CoreError::InvalidArgument("measurement batch magnitude overflows")
+        );
+    }
+}
+
+#[test]
 fn updater_rejects_mismatched_shapes() {
     let (testbed, updater) = setup();
     let day = 3.0;
