@@ -335,6 +335,68 @@ fn bench_solver(c: &mut Criterion) {
         let solver = ReferenceSolver::new(inputs.clone(), literal.clone()).unwrap();
         bch.iter(|| black_box(&solver).solve().unwrap())
     });
+
+    // The per-batch solve a fleet cycle runs, at width 1 so the rows
+    // time the sweep kernels alone: the three standard sites' first
+    // paper timestamp through `Updater::update_report`.
+    use iupdater_eval::ext_fleet::standard_testbeds;
+    use iupdater_eval::scenario::{
+        DEFAULT_SEED, INITIAL_SURVEY_SAMPLES, TIMESTAMPS, UPDATE_SAMPLES,
+    };
+    rayon::set_num_threads_for_tests(1);
+    for (_, testbed) in standard_testbeds(DEFAULT_SEED) {
+        let prior = FingerprintMatrix::survey(&testbed, 0.0, INITIAL_SURVEY_SAMPLES);
+        let updater = Updater::new(prior, UpdaterConfig::default()).unwrap();
+        let batch = MeasurementBatch::collect(
+            &testbed,
+            updater.reference_locations(),
+            TIMESTAMPS[0].1,
+            UPDATE_SAMPLES,
+        )
+        .unwrap();
+        let (m, n) = batch.mask().shape();
+        group.bench_function(&format!("update_report_w1_{m}x{n}"), |bch| {
+            bch.iter(|| {
+                updater
+                    .update_report(
+                        black_box(batch.reference_columns()),
+                        batch.no_decrease(),
+                        batch.mask(),
+                    )
+                    .unwrap()
+            })
+        });
+    }
+    rayon::set_num_threads_for_tests(0);
+
+    // The two L1 primitives every column / row system pays for. One
+    // call takes well under a microsecond, close to the harness's
+    // per-sample timer cost, so each sample times 1000 calls.
+    let a = Matrix::from_fn(8, 8, |i, j| {
+        let off = ((i * 8 + j) as f64 * 0.37).sin();
+        if i == j {
+            8.0 + off
+        } else {
+            off
+        }
+    });
+    group.bench_function("lu_8x8_x1000", |bch| {
+        bch.iter(|| {
+            for _ in 0..1000 {
+                black_box(black_box(&a).lu().unwrap());
+            }
+        })
+    });
+    let v: Vec<f64> = (0..8).map(|k| (k as f64 * 0.61).cos()).collect();
+    let mut acc = Matrix::zeros(8, 8);
+    group.bench_function("add_outer_8_x1000", |bch| {
+        bch.iter(|| {
+            for _ in 0..1000 {
+                acc.add_outer(black_box(1e-9), black_box(&v));
+            }
+        })
+    });
+    black_box(&acc);
     group.finish();
 }
 

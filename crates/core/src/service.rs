@@ -5,7 +5,8 @@
 //! cycles are independent — exactly the shape the phase-split solver
 //! engine was built for. [`UpdateService`] owns N deployments (one
 //! [`Updater`] engine + fingerprint store each) and runs update cycles
-//! across them in parallel (via the rayon facade), exposing a batched
+//! across them with every solve of a cycle in parallel (via the rayon
+//! facade, one item per queued batch), exposing a batched
 //! API the CLI, the evaluation scenarios and the examples drive.
 //!
 //! # Asynchronous measurement ingest
@@ -553,18 +554,24 @@ impl UpdateService {
         Ok(())
     }
 
-    /// Runs one update cycle on **every** deployment, in parallel
-    /// across deployments. A deployment with queued measurement batches
-    /// drains them — one solve + commit per batch, oldest first, each
-    /// at its own `batch.day()` — while a deployment with an empty
-    /// queue falls back to a synchronous testbed pull at day offset
-    /// `day` with `samples` readings per surveyed cell. Outcomes are
-    /// ordered by deployment, then by batch within a deployment.
+    /// Runs one update cycle on **every** deployment. A deployment with
+    /// queued measurement batches drains them — one solve + commit per
+    /// batch, oldest first, each at its own `batch.day()` — while a
+    /// deployment with an empty queue falls back to a synchronous
+    /// testbed pull at day offset `day` with `samples` readings per
+    /// surveyed cell. The solves run in parallel, one pool item per
+    /// batch (or pull) across the whole fleet: each solve reads only
+    /// its deployment's engine and its batch, so the batches of one
+    /// drain do not wait for each other. Commits stay sequential and
+    /// outcomes are ordered by deployment, then by batch within a
+    /// deployment.
     ///
     /// # Errors
     ///
-    /// Fails atomically: if any deployment's solve fails (the error is
-    /// wrapped in [`CoreError::Deployment`] naming the culprit), no
+    /// Fails atomically: if any solve fails, the error of the first
+    /// failing deployment (in registration order) and its first failing
+    /// batch is returned, wrapped in [`CoreError::Deployment`] naming
+    /// the culprit; no
     /// database is replaced and every drained batch returns to its
     /// queue. Also rejects a non-finite `day`, or a `day` earlier than
     /// the last committed cycle of any deployment that would fall back
@@ -581,26 +588,32 @@ impl UpdateService {
             .iter_mut()
             .map(|d| d.queue.drain_all())
             .collect();
-        // Parallel phase: solve every deployment's work list.
-        let work: Vec<(&ManagedDeployment, &[MeasurementBatch])> = self
-            .deployments
+        // Parallel phase: one item per solve — every queued batch, or
+        // one fallback pull for a deployment whose queue was empty —
+        // listed in (deployment, batch) order.
+        let work: Vec<(usize, Option<&MeasurementBatch>)> = plans
             .iter()
-            .zip(plans.iter().map(Vec::as_slice))
+            .enumerate()
+            .flat_map(|(idx, plan)| {
+                let pull = plan.is_empty().then_some((idx, None));
+                plan.iter().map(move |batch| (idx, Some(batch))).chain(pull)
+            })
             .collect();
-        let results: Vec<Result<Vec<(f64, FingerprintMatrix, SolveReport)>>> = work
+        let deployments = &self.deployments;
+        let results: Vec<Result<(f64, FingerprintMatrix, SolveReport)>> = work
             .par_iter()
-            .map(|&(dep, plan)| run_deployment_cycle(dep, plan, day, samples))
+            .map(|&(idx, batch)| solve_one(&deployments[idx], batch, day, samples))
             .collect();
-        drop(work);
-        // Commit phase: sequential, atomic on success of all. A single
-        // pass splits successes from the first error, so no
-        // second-look `expect` is needed.
+        // Commit phase: sequential, atomic on success of all. Results
+        // are regrouped per deployment in batch order; the first error
+        // in item order is the first failing deployment's first
+        // failing batch.
         let mut fresh: Vec<Vec<(f64, FingerprintMatrix, SolveReport)>> =
-            Vec::with_capacity(results.len());
+            plans.iter().map(|_| Vec::new()).collect();
         let mut first_err = None;
-        for (idx, r) in results.into_iter().enumerate() {
+        for (&(idx, _), r) in work.iter().zip(results) {
             match r {
-                Ok(list) => fresh.push(list),
+                Ok(solved) => fresh[idx].push(solved),
                 Err(e) => {
                     first_err = Some((idx, e));
                     break;
@@ -614,7 +627,7 @@ impl UpdateService {
             }
             return Err(self.dep_err(idx, e));
         }
-        let mut outcomes = Vec::with_capacity(fresh.len());
+        let mut outcomes = Vec::with_capacity(fresh.iter().map(Vec::len).sum());
         for (idx, committed) in fresh.into_iter().enumerate() {
             self.commit_deployment(idx, committed, &mut outcomes);
         }
@@ -943,37 +956,34 @@ impl UpdateService {
     }
 }
 
-/// One deployment's work for a cycle (the parallel body of
-/// [`UpdateService::run_cycle`]): every queued batch in order, or a
-/// synchronous testbed pull at `day` when none is queued. Returns the
-/// `(day, database, report)` triple per solve.
-fn run_deployment_cycle(
+/// One solve of a cycle (the parallel body of
+/// [`UpdateService::run_cycle`]): the queued `batch`, or a synchronous
+/// testbed pull at `day` when the deployment's queue was empty.
+/// Returns the `(day, database, report)` triple.
+fn solve_one(
     dep: &ManagedDeployment,
-    plan: &[MeasurementBatch],
+    batch: Option<&MeasurementBatch>,
     day: f64,
     samples: usize,
-) -> Result<Vec<(f64, FingerprintMatrix, SolveReport)>> {
+) -> Result<(f64, FingerprintMatrix, SolveReport)> {
     let pulled;
-    let batches: &[MeasurementBatch] = if plan.is_empty() {
-        pulled = [MeasurementBatch::collect(
-            &dep.testbed,
-            dep.updater.reference_locations(),
-            day,
-            samples,
-        )?];
-        &pulled
-    } else {
-        plan
+    let batch = match batch {
+        Some(batch) => batch,
+        None => {
+            pulled = MeasurementBatch::collect(
+                &dep.testbed,
+                dep.updater.reference_locations(),
+                day,
+                samples,
+            )?;
+            &pulled
+        }
     };
-    let mut out = Vec::with_capacity(batches.len());
-    for batch in batches {
-        let report = dep
-            .updater
-            .update_report(&batch.x_r, &batch.x_b, &batch.b)?;
-        let db = dep.updater.prior().with_matrix(report.reconstruction())?;
-        out.push((batch.day, db, report));
-    }
-    Ok(out)
+    let report = dep
+        .updater
+        .update_report(&batch.x_r, &batch.x_b, &batch.b)?;
+    let db = dep.updater.prior().with_matrix(report.reconstruction())?;
+    Ok((batch.day, db, report))
 }
 
 #[cfg(test)]
@@ -1174,6 +1184,70 @@ mod tests {
     fn single_cycle_failure_is_isolated() {
         let mut s = UpdateService::new();
         assert!(s.run_cycle(1.0, 1).unwrap().is_empty());
+    }
+
+    #[test]
+    fn failed_cycle_names_the_first_failing_deployment_and_requeues_everything() {
+        // λ = 0 with no constraints: a full-mask batch solves, while an
+        // all-zero mask leaves every column system exactly zero, so
+        // its solve fails with `Singular`. Deployments 1 and 2 both
+        // hold failing batches; every solve of the cycle runs, but the
+        // error must name deployment 1 — the first in registration
+        // order — and every drained batch must go back to its queue.
+        let cfg = UpdaterConfig {
+            lambda: 0.0,
+            ..UpdaterConfig::basic_rsvd()
+        };
+        let mut s = UpdateService::new();
+        for (k, env) in Environment::all_presets().into_iter().enumerate() {
+            s.register(
+                format!("site-{k}"),
+                Testbed::new(env, 61 + k as u64),
+                cfg.clone(),
+                2,
+            )
+            .unwrap();
+        }
+        let plan: [&[(f64, bool)]; 3] = [
+            &[(5.0, true), (15.0, true)],
+            &[(5.0, true), (15.0, false), (45.0, false)],
+            &[(5.0, false)],
+        ];
+        let ids = s.ids();
+        for (&id, batches) in ids.iter().zip(plan) {
+            for &(day, solvable) in batches {
+                let testbed = s.testbed(id).unwrap();
+                let refs = s.updater(id).unwrap().reference_locations();
+                let x_r = testbed.measure_columns(refs, day, 2);
+                let x_b = testbed.fingerprint_matrix(day, 2);
+                let mask = if solvable { 1.0 } else { 0.0 };
+                let b = Matrix::from_fn(x_b.rows(), x_b.cols(), |_, _| mask);
+                let x_b = b.hadamard(&x_b).unwrap();
+                s.ingest(id, MeasurementBatch::new(day, x_r, x_b, b).unwrap())
+                    .unwrap();
+            }
+        }
+        let before: Vec<Matrix> = ids
+            .iter()
+            .map(|&id| s.fingerprint(id).unwrap().matrix().clone())
+            .collect();
+        match s.run_cycle(50.0, 2).unwrap_err() {
+            CoreError::Deployment { name, id, source } => {
+                assert_eq!((name.as_str(), id), ("site-1", 1));
+                assert!(
+                    matches!(*source, CoreError::Linalg(_)),
+                    "unexpected cause {source:?}"
+                );
+            }
+            other => panic!("expected a deployment-wrapped error, got {other:?}"),
+        }
+        for ((&id, batches), db) in ids.iter().zip(plan).zip(&before) {
+            let queue = s.ingest_queue(id).unwrap();
+            assert_eq!(queue.len(), batches.len());
+            assert_eq!(queue.last_day(), batches.last().map(|&(day, _)| day));
+            assert_eq!(s.cycles_run(id).unwrap(), 0);
+            assert_eq!(s.fingerprint(id).unwrap().matrix(), db);
+        }
     }
 
     #[test]

@@ -71,17 +71,85 @@ struct ColumnPlan {
     rhs: Vec<f64>,
 }
 
+/// Which factor a sweep updates: `R` one column system at a time
+/// (Algorithm 1 line 3, `L` fixed), or `L` one row system at a time
+/// (line 4, `R` fixed). Maps the sweep's `(fixed, updated)` factor
+/// pair onto the terms' column or row hooks.
+#[derive(Debug, Clone, Copy)]
+enum Axis {
+    Columns,
+    Rows,
+}
+
+impl Axis {
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        self,
+        term: &dyn PenaltyTerm,
+        ctx: &TermContext<'_>,
+        idx: usize,
+        fixed: &Matrix,
+        sweep: &SweepCache,
+        a: &mut Matrix,
+        rhs: &mut [f64],
+    ) -> Result<()> {
+        match self {
+            Axis::Columns => term.assemble_column(ctx, idx, fixed, sweep, a, rhs),
+            Axis::Rows => term.assemble_row(ctx, idx, fixed, sweep, a, rhs),
+        }
+    }
+
+    fn has_cross(self, term: &dyn PenaltyTerm) -> bool {
+        match self {
+            Axis::Columns => term.has_column_cross(),
+            Axis::Rows => term.has_row_cross(),
+        }
+    }
+
+    fn cross(
+        self,
+        term: &dyn PenaltyTerm,
+        ctx: &TermContext<'_>,
+        idx: usize,
+        fixed: &Matrix,
+        updated: &Matrix,
+        rhs: &mut [f64],
+    ) {
+        match self {
+            Axis::Columns => term.column_cross(ctx, idx, fixed, updated, rhs),
+            Axis::Rows => term.row_cross(ctx, idx, updated, fixed, rhs),
+        }
+    }
+
+    /// Red-black colour of system `idx`. Columns: column `j` is cell
+    /// `(j / per, j % per)` of the (link, cell) checkerboard. Rows: row
+    /// cross terms only couple adjacent links (`H` is bidiagonal), so
+    /// link parity is a *proper* 2-colouring — every cross read targets
+    /// the opposite colour.
+    fn colour(self, idx: usize, per: usize) -> usize {
+        match self {
+            Axis::Columns => (idx / per + idx % per) % 2,
+            Axis::Rows => idx % 2,
+        }
+    }
+}
+
 /// Minimum sweep size, measured as `systems x r²` (the dominant
 /// assembly cost), before a sweep fans out to the worker pool.
-/// Dispatching to the persistent pool costs a few microseconds (a
-/// mutex/condvar wake plus chunk bookkeeping — it was ~100 µs of
-/// scoped-thread spawns before the pool existed, behind the historical
-/// threshold of 16 384), so only genuinely tiny sweeps — where even
-/// microseconds exceed the arithmetic — stay on the fused serial path.
-/// At this threshold the paper-size office (96 columns × r = 8 → 6144)
-/// fans its column sweeps out while its 8-row sweeps stay fused.
-/// Results are identical either way — see the parity tests.
-const MIN_PARALLEL_WORK: usize = 4_096;
+///
+/// A fan-out costs a job publish plus the phase-split path's per-system
+/// plans, while the fused serial path reuses one system and one LU
+/// workspace for the whole sweep. The bar sits above the paper's site
+/// sizes (hall 120 columns × r² = 64 → 7 680, office 6 144, library
+/// 2 592), so their sweeps stay fused, for two measured reasons (2
+/// vCPUs): inside `UpdateService::run_cycle`, which already runs one
+/// pool item per batch solve, a nested sweep fan-out only competes
+/// with the other solves for the same threads — lowering the bar to
+/// 4 096 made fleet-cycle publish p90 13–17% slower — and a lone
+/// paper-size solve at width 2 is no faster fanned out than fused.
+/// Larger problems (32 × 1536 at r = 32) still fan out. Results are
+/// identical either way — see the parity tests.
+const MIN_PARALLEL_WORK: usize = 16_384;
 
 /// Resets a reusable normal-equation workspace to `A = λI`, `rhs = 0`
 /// (the exact values `Matrix::identity(r).scale(λ)` produces).
@@ -292,21 +360,27 @@ impl AlsEngine {
     }
 
     /// Phase 1 of a sweep: assemble and LU-factor all `count` systems in
-    /// parallel. `fixed_rows` yields the assembly for one system.
+    /// parallel.
     fn assemble_systems(
         &self,
+        axis: Axis,
+        terms: &[&dyn PenaltyTerm],
+        fixed: &Matrix,
+        sweep: &SweepCache,
         count: usize,
-        assemble: impl Fn(usize, &mut Matrix, &mut [f64]) -> Result<()> + Sync,
     ) -> Result<Vec<ColumnPlan>> {
         let r = self.rank;
         let lambda = self.cfg.lambda;
+        let ctx = self.ctx();
         let plans: Vec<Result<ColumnPlan>> = (0..count)
             .into_par_iter()
             .map(|idx| {
                 let mut a = Matrix::identity(r);
                 a.scale_mut(lambda);
                 let mut rhs = vec![0.0_f64; r];
-                assemble(idx, &mut a, &mut rhs)?;
+                for term in terms {
+                    axis.assemble(*term, &ctx, idx, fixed, sweep, &mut a, &mut rhs)?;
+                }
                 let lu = a.lu()?;
                 Ok(ColumnPlan { lu, rhs })
             })
@@ -314,204 +388,104 @@ impl AlsEngine {
         plans.into_iter().collect()
     }
 
-    /// One sweep of per-column closed-form updates of `R` (the
-    /// `MyInverse(..., L̂, ...)` call of Algorithm 1 line 3).
-    fn update_columns(
+    /// One sweep of closed-form updates along `axis`: every row of
+    /// `updated` (`R` for [`Axis::Columns`], `L` for [`Axis::Rows`])
+    /// is re-solved with `fixed` (the other factor) held fixed — the
+    /// `MyInverse` calls of Algorithm 1 lines 3 and 4.
+    fn sweep(
         &self,
+        axis: Axis,
         terms: &[Box<dyn PenaltyTerm>],
-        l: &Matrix,
-        rm: &mut Matrix,
+        fixed: &Matrix,
+        updated: &mut Matrix,
     ) -> Result<()> {
-        let n = self.inputs.x_b.cols();
+        let count = updated.rows();
         let r = self.rank;
-        let lambda = self.cfg.lambda;
         let ctx = self.ctx();
-        let sweep = SweepCache {
-            gram: terms
-                .iter()
-                .any(|t| t.active() && t.wants_gram())
-                .then(|| l.gram()),
-        };
-        let cross_terms: Vec<&Box<dyn PenaltyTerm>> = terms
+        let active: Vec<&dyn PenaltyTerm> = terms
             .iter()
-            .filter(|t| t.active() && t.has_column_cross())
+            .map(|t| t.as_ref())
+            .filter(|t| t.active())
+            .collect();
+        let sweep = SweepCache {
+            gram: active.iter().any(|t| t.wants_gram()).then(|| fixed.gram()),
+        };
+        let cross_terms: Vec<&dyn PenaltyTerm> = active
+            .iter()
+            .copied()
+            .filter(|t| axis.has_cross(*t))
             .collect();
 
         let red_black = self.red_black(!cross_terms.is_empty());
-        if !red_black && self.serial_sweep(n) {
+        if !red_black && self.serial_sweep(count) {
             // Fused serial sweep: assemble, cross, solve and write per
-            // column in one pass — no plan materialisation, same
-            // numbers as the phase-split path. (Red-black sweeps never
-            // take it: its interleaved writes are inherently
+            // system in one pass, reusing one system and one LU
+            // workspace throughout — no plan materialisation,
+            // same numbers as the phase-split path. (Red-black sweeps
+            // never take it: its interleaved writes are inherently
             // Gauss–Seidel, and red-black results must not depend on
             // the work-size threshold or the machine width.)
             let mut a = Matrix::zeros(r, r);
             let mut rhs = vec![0.0_f64; r];
-            for j in 0..n {
-                reset_system(&mut a, &mut rhs, lambda);
-                for term in terms {
-                    if term.active() {
-                        term.assemble_column(&ctx, j, l, &sweep, &mut a, &mut rhs)?;
-                    }
+            let mut lu = Lu::default();
+            for idx in 0..count {
+                reset_system(&mut a, &mut rhs, self.cfg.lambda);
+                for term in &active {
+                    axis.assemble(*term, &ctx, idx, fixed, &sweep, &mut a, &mut rhs)?;
                 }
-                let lu = a.lu()?;
+                lu.refactor(&a)?;
                 for term in &cross_terms {
-                    term.column_cross(&ctx, j, l, rm, &mut rhs);
+                    axis.cross(*term, &ctx, idx, fixed, updated, &mut rhs);
                 }
-                let theta = lu.solve(&rhs);
-                rm.set_row(j, &theta);
+                lu.solve_into(&rhs, updated.row_mut(idx));
             }
             return Ok(());
         }
 
-        let plans = self.assemble_systems(n, |j, a, rhs| {
-            for term in terms {
-                if term.active() {
-                    term.assemble_column(&ctx, j, l, &sweep, a, rhs)?;
-                }
-            }
-            Ok(())
-        })?;
+        let plans = self.assemble_systems(axis, &active, fixed, &sweep, count)?;
         if cross_terms.is_empty() {
-            // Fully independent columns: solve and write in parallel.
+            // Fully independent systems: solve and write in parallel.
             let rows: Vec<Vec<f64>> = plans
                 .par_iter()
                 .map(|plan| plan.lu.solve(&plan.rhs))
                 .collect();
-            for (j, theta) in rows.iter().enumerate() {
-                rm.set_row(j, theta);
+            for (idx, row) in rows.iter().enumerate() {
+                updated.set_row(idx, row);
             }
         } else if red_black {
-            // Red-black half-sweeps over the (link, cell) checkerboard:
-            // column j is cell (j / per, j % per). Each half computes
-            // every update of its colour in parallel from the snapshot
-            // `R` held fixed during the half, then writes — see the
-            // module docs for the colouring invariant.
+            // Red-black half-sweeps: each half computes every update of
+            // its colour in parallel from the snapshot of `updated`
+            // held fixed during the half, then writes — see the module
+            // docs for the colouring invariant.
             let per = self.inputs.per;
             for colour in 0..2 {
-                let indices: Vec<usize> = (0..n)
-                    .filter(|j| (j / per + j % per) % 2 == colour)
+                let indices: Vec<usize> = (0..count)
+                    .filter(|&idx| axis.colour(idx, per) == colour)
                     .collect();
-                let snapshot: &Matrix = rm;
-                let thetas: Vec<Vec<f64>> = indices
+                let snapshot: &Matrix = updated;
+                let solved: Vec<Vec<f64>> = indices
                     .par_iter()
-                    .map(|&j| {
-                        let mut rhs = plans[j].rhs.clone();
+                    .map(|&idx| {
+                        let mut rhs = plans[idx].rhs.clone();
                         for term in &cross_terms {
-                            term.column_cross(&ctx, j, l, snapshot, &mut rhs);
+                            axis.cross(*term, &ctx, idx, fixed, snapshot, &mut rhs);
                         }
-                        plans[j].lu.solve(&rhs)
+                        plans[idx].lu.solve(&rhs)
                     })
                     .collect();
-                for (&j, theta) in indices.iter().zip(&thetas) {
-                    rm.set_row(j, theta);
+                for (&idx, row) in indices.iter().zip(&solved) {
+                    updated.set_row(idx, row);
                 }
             }
         } else {
             // Gauss–Seidel: original ascending order, reading the
             // partially updated factor.
-            for (j, plan) in plans.into_iter().enumerate() {
+            for (idx, plan) in plans.into_iter().enumerate() {
                 let mut rhs = plan.rhs;
                 for term in &cross_terms {
-                    term.column_cross(&ctx, j, l, rm, &mut rhs);
+                    axis.cross(*term, &ctx, idx, fixed, updated, &mut rhs);
                 }
-                let theta = plan.lu.solve(&rhs);
-                rm.set_row(j, &theta);
-            }
-        }
-        Ok(())
-    }
-
-    /// One sweep of per-row closed-form updates of `L` (the transposed
-    /// `MyInverse` call of Algorithm 1 line 4).
-    fn update_rows(
-        &self,
-        terms: &[Box<dyn PenaltyTerm>],
-        l: &mut Matrix,
-        rm: &Matrix,
-    ) -> Result<()> {
-        let m = self.inputs.x_b.rows();
-        let r = self.rank;
-        let lambda = self.cfg.lambda;
-        let ctx = self.ctx();
-        let sweep = SweepCache {
-            gram: terms
-                .iter()
-                .any(|t| t.active() && t.wants_gram())
-                .then(|| rm.gram()),
-        };
-        let cross_terms: Vec<&Box<dyn PenaltyTerm>> = terms
-            .iter()
-            .filter(|t| t.active() && t.has_row_cross())
-            .collect();
-
-        let red_black = self.red_black(!cross_terms.is_empty());
-        if !red_black && self.serial_sweep(m) {
-            let mut a = Matrix::zeros(r, r);
-            let mut rhs = vec![0.0_f64; r];
-            for i in 0..m {
-                reset_system(&mut a, &mut rhs, lambda);
-                for term in terms {
-                    if term.active() {
-                        term.assemble_row(&ctx, i, rm, &sweep, &mut a, &mut rhs)?;
-                    }
-                }
-                let lu = a.lu()?;
-                for term in &cross_terms {
-                    term.row_cross(&ctx, i, l, rm, &mut rhs);
-                }
-                let ell = lu.solve(&rhs);
-                l.set_row(i, &ell);
-            }
-            return Ok(());
-        }
-
-        let plans = self.assemble_systems(m, |i, a, rhs| {
-            for term in terms {
-                if term.active() {
-                    term.assemble_row(&ctx, i, rm, &sweep, a, rhs)?;
-                }
-            }
-            Ok(())
-        })?;
-        if cross_terms.is_empty() {
-            let rows: Vec<Vec<f64>> = plans
-                .par_iter()
-                .map(|plan| plan.lu.solve(&plan.rhs))
-                .collect();
-            for (i, ell) in rows.iter().enumerate() {
-                l.set_row(i, ell);
-            }
-        } else if red_black {
-            // Red-black half-sweeps down the link axis: row cross
-            // terms only couple adjacent links (`H` is bidiagonal), so
-            // parity colouring is a *proper* 2-colouring here — every
-            // cross read targets the opposite colour.
-            for colour in 0..2 {
-                let indices: Vec<usize> = (0..m).filter(|i| i % 2 == colour).collect();
-                let snapshot: &Matrix = l;
-                let ells: Vec<Vec<f64>> = indices
-                    .par_iter()
-                    .map(|&i| {
-                        let mut rhs = plans[i].rhs.clone();
-                        for term in &cross_terms {
-                            term.row_cross(&ctx, i, snapshot, rm, &mut rhs);
-                        }
-                        plans[i].lu.solve(&rhs)
-                    })
-                    .collect();
-                for (&i, ell) in indices.iter().zip(&ells) {
-                    l.set_row(i, ell);
-                }
-            }
-        } else {
-            for (i, plan) in plans.into_iter().enumerate() {
-                let mut rhs = plan.rhs;
-                for term in &cross_terms {
-                    term.row_cross(&ctx, i, l, rm, &mut rhs);
-                }
-                let ell = plan.lu.solve(&rhs);
-                l.set_row(i, &ell);
+                plan.lu.solve_into(&rhs, updated.row_mut(idx));
             }
         }
         Ok(())
@@ -529,8 +503,8 @@ impl AlsEngine {
         trace.push(self.objective(&terms, &l, &rm, &mut xhat)?);
         let mut iterations = 0;
         for _ in 0..self.cfg.max_iter {
-            self.update_columns(&terms, &l, &mut rm)?;
-            self.update_rows(&terms, &mut l, &rm)?;
+            self.sweep(Axis::Columns, &terms, &l, &mut rm)?;
+            self.sweep(Axis::Rows, &terms, &rm, &mut l)?;
             iterations += 1;
             let v = self.objective(&terms, &l, &rm, &mut xhat)?;
             // invariants: allow(panic-freedom) — the initial

@@ -181,12 +181,11 @@ impl PenaltyTerm for DataFitTerm {
         a: &mut Matrix,
         rhs: &mut [f64],
     ) -> Result<()> {
-        for i in 0..ctx.b.rows() {
-            if ctx.b[(i, j)] == 0.0 {
+        let known = column(ctx.b, j).zip(column(ctx.x_b, j));
+        for ((&bij, &y), li) in known.zip(rows(l)) {
+            if bij == 0.0 {
                 continue;
             }
-            let li = l.row(i);
-            let y = ctx.x_b[(i, j)];
             axpy_slice(self.weight * y, li, rhs);
             a.add_outer(self.weight, li);
         }
@@ -202,12 +201,11 @@ impl PenaltyTerm for DataFitTerm {
         a: &mut Matrix,
         rhs: &mut [f64],
     ) -> Result<()> {
-        for j in 0..ctx.b.cols() {
-            if ctx.b[(i, j)] == 0.0 {
+        let known = ctx.b.row(i).iter().zip(ctx.x_b.row(i));
+        for ((&bij, &y), tj) in known.zip(rows(rm)) {
+            if bij == 0.0 {
                 continue;
             }
-            let tj = rm.row(j);
-            let y = ctx.x_b[(i, j)];
             axpy_slice(self.weight * y, tj, rhs);
             a.add_outer(self.weight, tj);
         }
@@ -263,12 +261,11 @@ impl PenaltyTerm for ReferenceTerm {
             // TermContext::p is Some only in that configuration.
             .expect("reference term requires the sweep Gram");
         a.axpy(self.weight, gram)?;
-        for i in 0..l.rows() {
-            let pij = p[(i, j)];
+        for (&pij, li) in column(p, j).zip(rows(l)) {
             if pij == 0.0 {
                 continue;
             }
-            axpy_slice(self.weight * pij, l.row(i), rhs);
+            axpy_slice(self.weight * pij, li, rhs);
         }
         Ok(())
     }
@@ -291,12 +288,11 @@ impl PenaltyTerm for ReferenceTerm {
             // TermContext::p is Some only in that configuration.
             .expect("reference term requires the sweep Gram");
         a.axpy(self.weight, gram)?;
-        for j in 0..rm.rows() {
-            let pij = p[(i, j)];
+        for (&pij, tj) in p.row(i).iter().zip(rows(rm)) {
             if pij == 0.0 {
                 continue;
             }
-            axpy_slice(self.weight * pij, rm.row(j), rhs);
+            axpy_slice(self.weight * pij, tj, rhs);
         }
         Ok(())
     }
@@ -343,9 +339,9 @@ impl PenaltyTerm for ContinuityTerm {
         let (ii, jj) = (j / per, j % per);
         let norm_sq: f64 = match self.coupling {
             // Algorithm 1 line 18: column jj of G.
-            CouplingMode::PaperLiteral => (0..per).map(|u| g[(u, jj)] * g[(u, jj)]).sum(),
+            CouplingMode::PaperLiteral => column(g, jj).map(|&x| x * x).sum(),
             // Row jj of G: the true coefficient of X_D(ii, jj) in X_D G.
-            CouplingMode::Exact => (0..per).map(|p_| g[(jj, p_)] * g[(jj, p_)]).sum(),
+            CouplingMode::Exact => g.row(jj).iter().map(|&x| x * x).sum(),
         };
         a.add_outer(self.weight * norm_sq, l.row(ii));
         Ok(())
@@ -367,34 +363,20 @@ impl PenaltyTerm for ContinuityTerm {
         let per = ctx.per;
         let (ii, jj) = (j / per, j % per);
         let lrow = l.row(ii);
-        // Current X_D(ii, u) values of this link's row, computed once
-        // (the monolith recomputed each dot product per (p, u) pair).
-        let xd_row: Vec<f64> = (0..per)
-            .map(|u| {
-                if u == jj {
-                    0.0
-                } else {
-                    Matrix::dot(lrow, rm.row(ii * per + u))
-                }
-            })
-            .collect();
         let mut cross = 0.0;
-        for p_ in 0..per {
-            let gjp = g[(jj, p_)];
+        for (p_, &gjp) in g.row(jj).iter().enumerate() {
             if gjp == 0.0 {
                 continue;
             }
-            // c_p = Σ_{u≠jj} X_D(ii, u) G(u, p).
+            // c_p = Σ_{u≠jj} X_D(ii, u) G(u, p), with the current
+            // X_D(ii, u) = ℓ_ii · θ_{ii*per+u} evaluated only where
+            // G(u, p) ≠ 0 (G is sparse: neighbouring cells only).
             let mut c_p = 0.0;
-            for (u, &xdu) in xd_row.iter().enumerate() {
-                if u == jj {
+            for (u, (&gup, tu)) in column(g, p_).zip(link_block(rm, ii, per)).enumerate() {
+                if u == jj || gup == 0.0 {
                     continue;
                 }
-                let gup = g[(u, p_)];
-                if gup == 0.0 {
-                    continue;
-                }
-                c_p += xdu * gup;
+                c_p += Matrix::dot(lrow, tu) * gup;
             }
             cross += c_p * gjp;
         }
@@ -419,12 +401,11 @@ impl PenaltyTerm for ContinuityTerm {
         let mut m_p = vec![0.0_f64; r];
         for p_ in 0..per {
             m_p.fill(0.0);
-            for u in 0..per {
-                let gup = g[(u, p_)];
+            for (&gup, tu) in column(g, p_).zip(link_block(rm, i, per)) {
                 if gup == 0.0 {
                     continue;
                 }
-                axpy_slice(gup, rm.row(i * per + u), &mut m_p);
+                axpy_slice(gup, tu, &mut m_p);
             }
             a.add_outer(self.weight, &m_p);
         }
@@ -470,8 +451,7 @@ impl PenaltyTerm for SimilarityTerm {
         // Column ii of H is the coefficient of X_D(ii, jj) in H X_D
         // (the dimension-correct reading of Algorithm 1 line 19, whose
         // printed index is a typo).
-        let m = h.rows();
-        let norm_sq: f64 = (0..m).map(|p_| h[(p_, ii)] * h[(p_, ii)]).sum();
+        let norm_sq: f64 = column(h, ii).map(|&x| x * x).sum();
         a.add_outer(self.weight * norm_sq, l.row(ii));
         Ok(())
     }
@@ -491,39 +471,8 @@ impl PenaltyTerm for SimilarityTerm {
         let Some(h) = ctx.h else { return };
         let per = ctx.per;
         let (ii, jj) = (j / per, j % per);
-        let lrow = l.row(ii);
-        let m = h.rows();
-        // Current X_D(k, jj) for every other link, computed once.
-        let xd_col: Vec<f64> = (0..m)
-            .map(|k| {
-                if k == ii {
-                    0.0
-                } else {
-                    Matrix::dot(l.row(k), rm.row(k * per + jj))
-                }
-            })
-            .collect();
-        let mut cross = 0.0;
-        for p_ in 0..m {
-            let hpi = h[(p_, ii)];
-            if hpi == 0.0 {
-                continue;
-            }
-            // e_p = Σ_{k≠ii} H(p, k) X_D(k, jj).
-            let mut e_p = 0.0;
-            for (k, &xdk) in xd_col.iter().enumerate() {
-                if k == ii {
-                    continue;
-                }
-                let hpk = h[(p_, k)];
-                if hpk == 0.0 {
-                    continue;
-                }
-                e_p += xdk * hpk;
-            }
-            cross += e_p * hpi;
-        }
-        axpy_slice(-self.weight * cross, lrow, rhs);
+        let cross = similarity_cross(h, l, rm, per, ii, jj);
+        axpy_slice(-self.weight * cross, l.row(ii), rhs);
     }
 
     fn assemble_row(
@@ -536,11 +485,9 @@ impl PenaltyTerm for SimilarityTerm {
         _rhs: &mut [f64],
     ) -> Result<()> {
         let Some(h) = ctx.h else { return Ok(()) };
-        let per = ctx.per;
-        let m = h.rows();
-        let norm_sq: f64 = (0..m).map(|p_| h[(p_, i)] * h[(p_, i)]).sum();
-        for u in 0..per {
-            a.add_outer(self.weight * norm_sq, rm.row(i * per + u));
+        let norm_sq: f64 = column(h, i).map(|&x| x * x).sum();
+        for tu in link_block(rm, i, ctx.per) {
+            a.add_outer(self.weight * norm_sq, tu);
         }
         Ok(())
     }
@@ -552,40 +499,9 @@ impl PenaltyTerm for SimilarityTerm {
     fn row_cross(&self, ctx: &TermContext<'_>, i: usize, l: &Matrix, rm: &Matrix, rhs: &mut [f64]) {
         let Some(h) = ctx.h else { return };
         let per = ctx.per;
-        let m = h.rows();
-        for u in 0..per {
-            let tj = rm.row(i * per + u);
-            // Current X_D(k, u) for every other link, computed once per u.
-            let xd_col: Vec<f64> = (0..m)
-                .map(|k| {
-                    if k == i {
-                        0.0
-                    } else {
-                        Matrix::dot(l.row(k), rm.row(k * per + u))
-                    }
-                })
-                .collect();
-            // Σ_p H(p, i) e_{p,u},  e_{p,u} = Σ_{k≠i} H(p, k) X_D(k, u).
-            let mut cross = 0.0;
-            for p_ in 0..m {
-                let hpi = h[(p_, i)];
-                if hpi == 0.0 {
-                    continue;
-                }
-                let mut e_pu = 0.0;
-                for (k, &xdk) in xd_col.iter().enumerate() {
-                    if k == i {
-                        continue;
-                    }
-                    let hpk = h[(p_, k)];
-                    if hpk == 0.0 {
-                        continue;
-                    }
-                    e_pu += hpk * xdk;
-                }
-                cross += hpi * e_pu;
-            }
-            axpy_slice(-self.weight * cross, tj, rhs);
+        for (u, tu) in link_block(rm, i, per).enumerate() {
+            let cross = similarity_cross(h, l, rm, per, i, u);
+            axpy_slice(-self.weight * cross, tu, rhs);
         }
     }
 }
@@ -593,4 +509,46 @@ impl PenaltyTerm for SimilarityTerm {
 /// Rank of the normal-equation system being assembled.
 fn rhs_len(a: &Matrix) -> usize {
     a.rows()
+}
+
+/// The rows of `a`, top to bottom, as slices (every matrix walked
+/// this way — a factor, `H` — has at least one column: rank and link
+/// count are ≥ 1).
+fn rows(a: &Matrix) -> std::slice::ChunksExact<'_, f64> {
+    a.as_slice().chunks_exact(a.cols())
+}
+
+/// Column `j` of `a`, top to bottom, as a strided walk over the
+/// row-major storage (no per-element index arithmetic or bounds check).
+fn column(a: &Matrix, j: usize) -> impl Iterator<Item = &f64> {
+    a.as_slice()[j..].iter().step_by(a.cols())
+}
+
+/// The `per` rows `link * per .. (link + 1) * per` of the factor `R`:
+/// the cells of one link.
+fn link_block(rm: &Matrix, link: usize, per: usize) -> impl Iterator<Item = &[f64]> {
+    rows(rm).skip(link * per).take(per)
+}
+
+/// `Σ_p H(p, i) e_p` with `e_p = Σ_{k≠i} H(p, k) X_D(k, cell)`: the
+/// similarity cross sum of the column and row sweeps. The current
+/// `X_D(k, cell) = ℓ_k · θ_{k*per+cell}` is evaluated only where
+/// `H(p, k) ≠ 0` (`H` is bidiagonal: adjacent links only).
+fn similarity_cross(h: &Matrix, l: &Matrix, rm: &Matrix, per: usize, i: usize, cell: usize) -> f64 {
+    let mut cross = 0.0;
+    for hrow in rows(h) {
+        let hpi = hrow[i];
+        if hpi == 0.0 {
+            continue;
+        }
+        let mut e_p = 0.0;
+        for (k, (&hpk, lk)) in hrow.iter().zip(rows(l)).enumerate() {
+            if k == i || hpk == 0.0 {
+                continue;
+            }
+            e_p += Matrix::dot(lk, rm.row(k * per + cell)) * hpk;
+        }
+        cross += e_p * hpi;
+    }
+    cross
 }

@@ -511,15 +511,29 @@ impl Matrix {
     pub fn add_outer(&mut self, alpha: f64, v: &[f64]) {
         let n = v.len();
         assert_eq!(self.shape(), (n, n), "add_outer shape mismatch");
-        for (a, &va) in v.iter().enumerate() {
-            let row = self.row_mut(a);
-            let f = alpha * va;
-            if f == 0.0 {
-                continue;
-            }
-            for (b, &vb) in v.iter().enumerate() {
-                row[b] += f * vb;
-            }
+        // Constant trip counts at the solver's usual ranks (the link
+        // count: 6 or 8 at the paper's sites) let the loops unroll.
+        let a = self.as_mut_slice();
+        match n {
+            0 => {}
+            6 => add_outer_rows(a, alpha, &v[..6]),
+            8 => add_outer_rows(a, alpha, &v[..8]),
+            _ => add_outer_rows(a, alpha, v),
+        }
+    }
+}
+
+/// `a += alpha * v vᵀ` over the rows of the row-major `v.len()`-square
+/// `a` (the body of [`Matrix::add_outer`]).
+#[inline(always)]
+fn add_outer_rows(a: &mut [f64], alpha: f64, v: &[f64]) {
+    for (row, &va) in a.chunks_exact_mut(v.len()).zip(v) {
+        let f = alpha * va;
+        if f == 0.0 {
+            continue;
+        }
+        for (x, &vb) in row.iter_mut().zip(v) {
+            *x += f * vb;
         }
     }
 }

@@ -18,9 +18,9 @@
 //! real rayon's global pool): `current_num_threads() - 1` long-lived
 //! worker threads are spawned lazily on the first parallel call and
 //! then reused, so a parallel call costs a job publish instead of an
-//! OS thread spawn. That removes the per-call overhead that previously
-//! forced callers (the solver engine's `MIN_PARALLEL_WORK` threshold)
-//! to keep moderate sweeps serial.
+//! OS thread spawn. (Callers may still keep small work serial where
+//! their serial path is faster — see the solver engine's
+//! `MIN_PARALLEL_WORK`.)
 //!
 //! Idle workers **spin, then park**: after a job (or on finding none) a
 //! worker busy-polls the published-job generation for a short window
